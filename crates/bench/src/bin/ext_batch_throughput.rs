@@ -2,19 +2,17 @@
 //! to the paper's pipelined cycle-time model.
 //!
 //! Stores a seeded random 128×128 2-bit array, then answers the same
-//! query batch four ways: a sequential loop of single-query
+//! query batch three ways: a sequential loop of single-query
 //! `SimilarityEngine::search` calls through the full calibrated
-//! behavioral model; the scalar compiled-LUT batch path
-//! (`CompiledArray::search_batch_lut`, bit-identical to the behavioral
-//! model); the bit-sliced packed kernel materializing full analog
-//! outcomes (`CompiledArray::search_batch`, XOR/popcount over bit-plane
-//! words with count-indexed delay reconstruction); and the packed
-//! kernel's decision-only path (`CompiledArray::decide_batch`, winners
-//! and decoded distances — the output the hardware TDC exports). Before
-//! any timing is reported, the LUT tier is verified bit-identical to
-//! the sequential loop and both packed tiers decision-identical (same
-//! winners, same decoded distances — the `tdam::packed` equivalence
-//! contract).
+//! behavioral model; the bit-sliced packed kernel materializing full
+//! analog outcomes (`CompiledArray::search_batch`, XOR/popcount over
+//! bit-plane words with count-indexed delay reconstruction); and the
+//! packed kernel's decision-only path on one thread
+//! (`CompiledArray::decide_batch`, winners and decoded distances — the
+//! output the hardware TDC exports). Before any timing is reported, both
+//! packed tiers are verified decision-identical to the sequential loop
+//! (same winners, same decoded distances — the `tdam::packed`
+//! equivalence contract).
 //!
 //! A second scenario sweeps the **kernel dispatch ladder** on a
 //! 1024-row array (where the cache-blocked, wide-register rungs
@@ -32,10 +30,12 @@
 //! With `--save`, archives the human-readable run to
 //! `results/ext_batch_throughput.txt` and a machine-readable sidecar to
 //! `results/BENCH_batch.json`. The quick run doubles as the CI perf
-//! smoke: it asserts the packed kernel sustains ≥ 4× the scalar-LUT
-//! throughput, and — when the SIMD rung is active — that the wide rung
-//! sustains ≥ 2× the scalar rung on the 1024-row ladder scenario (the
-//! archived full run on an AVX-512 host shows the ≥ 3× headline).
+//! smoke: it asserts the single-threaded packed decision path sustains
+//! ≥ 34× the sequential behavioral loop's throughput (the full run
+//! reports a ≥ 73× target; see `QUICK_GATE`), and — when the SIMD
+//! rung is active — that the wide rung sustains ≥ 2× the scalar rung on
+//! the 1024-row ladder scenario (the archived full run on an AVX-512
+//! host shows the ≥ 3× headline).
 //!
 //! Usage: `cargo run --release -p tdam-bench --bin ext_batch_throughput [--quick] [--save]`
 
@@ -50,9 +50,22 @@ use tdam::packed::PackedKernel;
 use tdam::throughput::worst_case_cycle;
 use tdam_bench::{eng, quick_mode, rline, JsonMap, Report};
 
+/// Quick-mode gate on the qps ratio of single-threaded packed decisions
+/// over the sequential behavioral loop. It replaces the former "packed
+/// decisions ≥ 4× the scalar delay-LUT tier" gate without loosening it:
+/// the bound is ⌈4·R⌉ with R = 8.36, the largest single-threaded
+/// LUT / sequential qps ratio measured on the quick scenario over 16 runs
+/// (2-vCPU x86-64 host) before that tier was retired.
+const QUICK_GATE: f64 = 34.0;
+
+/// Full-mode target, derived the same way from the former ≥ 10× LUT
+/// target: ⌈10·R⌉ with R = 7.22, the largest ratio over 10 full runs.
+const FULL_TARGET: f64 = 73.0;
+
 fn main() {
     // The quick grid keeps the full 128-stage chain so the per-query
-    // work (and therefore the packed-vs-LUT ratio) is representative.
+    // work (and therefore the packed-vs-sequential ratio) is
+    // representative.
     let (stages, rows, batch_size, repeats) = if quick_mode() {
         (128, 64, 128, 2)
     } else {
@@ -101,19 +114,7 @@ fn main() {
     }
 
     let compiled = am.compile();
-    rline!(rpt, "compiled rows: {}/{}", compiled.compiled_rows(), rows);
-    rline!(rpt, "packed rows:   {}/{}", compiled.packed_rows(), rows);
-
-    // Scalar compiled-LUT tier: per-stage delay lookups, bit-identical
-    // to the behavioral model.
-    let mut lut_results = Vec::new();
-    let mut lut_best = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        let run = compiled.search_batch_lut(&batch, None).expect("LUT batch");
-        lut_best = lut_best.min(t0.elapsed().as_secs_f64());
-        lut_results = run;
-    }
+    rline!(rpt, "packed rows: {}/{}", compiled.packed_rows(), rows);
 
     // Packed tier: bit-plane XOR/popcount mismatch counting with
     // count-indexed delay reconstruction into full analog outcomes.
@@ -129,31 +130,27 @@ fn main() {
     // Decision tier: the packed kernel at full speed — winners and
     // decoded distances only (what the hardware TDC exports), skipping
     // the per-row analog materialization that dominates the full path.
+    // One thread, so the gated ratio does not depend on core count.
     let mut decide_results = Vec::new();
     let mut decide_best = f64::INFINITY;
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let run = compiled.decide_batch(&batch, None).expect("decide batch");
+        let run = compiled
+            .decide_batch(&batch, Some(1))
+            .expect("decide batch");
         decide_best = decide_best.min(t0.elapsed().as_secs_f64());
         decide_results = run;
     }
 
     // Correctness gates: timings mean nothing if the answers differ.
-    // LUT must be bit-identical; packed and decision tiers must be
-    // decision-identical.
-    assert_eq!(lut_results.len(), sequential_results.len());
+    // Both packed tiers must be decision-identical to the sequential loop.
     assert_eq!(packed_results.len(), sequential_results.len());
     assert_eq!(decide_results.len(), sequential_results.len());
-    for (((lut, packed), decision), reference) in lut_results
+    for ((packed, decision), reference) in packed_results
         .iter()
-        .zip(&packed_results)
         .zip(&decide_results)
         .zip(&sequential_results)
     {
-        assert!(
-            lut.metrics() == *reference,
-            "LUT tier diverged from sequential"
-        );
         let packed = packed.metrics();
         assert_eq!(packed.best_row, reference.best_row, "packed winner");
         assert_eq!(packed.distances, reference.distances, "packed distances");
@@ -170,17 +167,14 @@ fn main() {
     }
     rline!(
         rpt,
-        "LUT tier bit-identical: yes; packed + decision tiers decision-identical: yes"
+        "packed + decision tiers decision-identical to sequential: yes"
     );
 
     let seq_qps = batch_size as f64 / seq_best;
-    let lut_qps = batch_size as f64 / lut_best;
     let packed_qps = batch_size as f64 / packed_best;
     let decide_qps = batch_size as f64 / decide_best;
-    let lut_speedup = lut_qps / seq_qps;
     let packed_speedup = packed_qps / seq_qps;
-    let packed_vs_lut = packed_qps / lut_qps;
-    let decide_vs_lut = decide_qps / lut_qps;
+    let decide_speedup = decide_qps / seq_qps;
     rline!(
         rpt,
         "sequential loop:    {:>10.3} ms  ({:>9.0} queries/s)",
@@ -189,45 +183,44 @@ fn main() {
     );
     rline!(
         rpt,
-        "batched + LUT:      {:>10.3} ms  ({:>9.0} queries/s)   {lut_speedup:6.2}x sequential",
-        lut_best * 1e3,
-        lut_qps
-    );
-    rline!(
-        rpt,
-        "batched + packed:   {:>10.3} ms  ({:>9.0} queries/s)   {packed_speedup:6.2}x sequential, {packed_vs_lut:.2}x LUT",
+        "batched + packed:   {:>10.3} ms  ({:>9.0} queries/s)   {packed_speedup:6.2}x sequential",
         packed_best * 1e3,
         packed_qps
     );
     rline!(
         rpt,
-        "packed decisions:   {:>10.3} ms  ({:>9.0} queries/s)   {:6.2}x sequential, {decide_vs_lut:.2}x LUT",
+        "packed decisions:   {:>10.3} ms  ({:>9.0} queries/s)   {decide_speedup:6.2}x sequential (1 thread)",
         decide_best * 1e3,
-        decide_qps,
-        decide_qps / seq_qps
+        decide_qps
     );
     rline!(
         rpt,
         "(the full packed path is bounded by materializing per-row analog \
          outcomes; the decision path is the kernel itself)"
     );
+    let gate = if quick_mode() {
+        QUICK_GATE
+    } else {
+        FULL_TARGET
+    };
+    let met = decide_speedup >= gate;
     if quick_mode() {
         // The CI perf smoke: a ratio, not an absolute time, so it holds
         // on throttled shared runners.
         rline!(
             rpt,
-            "quick perf gate: packed kernel >= 4x LUT qps: {}",
-            if decide_vs_lut >= 4.0 { "PASS" } else { "FAIL" }
+            "quick perf gate: packed decisions >= {gate}x sequential qps: {}",
+            if met { "PASS" } else { "FAIL" }
         );
         assert!(
-            decide_vs_lut >= 4.0,
-            "perf smoke: packed kernel only {decide_vs_lut:.2}x the scalar LUT tier"
+            met,
+            "perf smoke: packed decisions only {decide_speedup:.2}x the sequential loop"
         );
     } else {
         rline!(
             rpt,
-            "speedup: packed kernel {decide_vs_lut:.2}x over the compiled-LUT path   (target >= 10x: {})",
-            if decide_vs_lut >= 10.0 { "PASS" } else { "MISS" }
+            "speedup: packed decisions {decide_speedup:.2}x over the sequential loop   (target >= {gate}x: {})",
+            if met { "PASS" } else { "MISS" }
         );
     }
 
@@ -454,17 +447,15 @@ fn main() {
             "qps",
             JsonMap::new()
                 .num("sequential", seq_qps)
-                .num("lut", lut_qps)
                 .num("packed", packed_qps)
                 .num("packed_decisions", decide_qps),
         )
         .obj(
             "speedup",
             JsonMap::new()
-                .num("lut_vs_sequential", lut_speedup)
                 .num("packed_vs_sequential", packed_speedup)
-                .num("packed_vs_lut", packed_vs_lut)
-                .num("decisions_vs_lut", decide_vs_lut),
+                .num("decisions_vs_sequential", decide_speedup)
+                .num("decisions_gate", gate),
         )
         .obj("kernel_ladder", {
             let mut qps = JsonMap::new();

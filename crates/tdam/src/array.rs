@@ -109,7 +109,7 @@ pub struct TdamArray {
     tdc: CounterTdc,
     chains: Vec<DelayChain>,
     /// Bumped on every mutation of stored contents (store, program, age),
-    /// so compiled delay tables can detect that they have gone stale.
+    /// so compiled views can detect that they have gone stale.
     generation: u64,
 }
 
@@ -400,28 +400,17 @@ impl TdamArray {
     /// Returns [`TdamError::LengthMismatch`] or
     /// [`TdamError::ValueOutOfRange`] for malformed queries.
     pub fn search(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        let results = self
-            .chains
-            .iter()
-            .map(|chain| chain.evaluate(query))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.assemble(results))
-    }
-
-    /// Digitizes per-chain results and aggregates the array-level energy
-    /// and latency — shared by the reference and compiled search paths.
-    fn assemble(&self, results: Vec<ChainResult>) -> SearchOutcome {
-        let mut acc = OutcomeAccumulator::new(results.len());
-        for chain_result in results {
-            acc.push_chain(self, chain_result);
+        let mut acc = OutcomeAccumulator::new(self.chains.len());
+        for chain in &self.chains {
+            acc.push_chain(self, chain.evaluate(query)?);
         }
-        acc.finish(self)
+        Ok(acc.finish(self))
     }
 
-    /// Compiles every nominal row into flat per-cell delay tables (see
-    /// [`crate::chain::CompiledChain`]) for the batched query path. Rows
-    /// holding variation-perturbed cells keep the full model and fall back
-    /// to [`DelayChain::evaluate`] per query.
+    /// Packs every nominal row into the bit-sliced kernel
+    /// ([`crate::packed`]) for the batched query path. Rows holding
+    /// variation-perturbed cells keep the full model and fall back to
+    /// [`DelayChain::evaluate`] per query.
     ///
     /// The compiled view borrows the array: it is built once per batch
     /// (or held across batches) and shared read-only by worker threads.
@@ -430,7 +419,6 @@ impl TdamArray {
     pub fn compile(&self) -> CompiledArray<'_> {
         CompiledArray {
             array: self,
-            compiled: self.chains.iter().map(DelayChain::compile).collect(),
             packed: PackedArray::build(self, &std::collections::BTreeSet::new()),
             generation: self.generation,
         }
@@ -444,19 +432,17 @@ impl TdamArray {
     pub fn compile_snapshot(&self) -> CompiledSnapshot {
         CompiledSnapshot {
             array: self.clone(),
-            compiled: self.chains.iter().map(DelayChain::compile).collect(),
             packed: PackedArray::build(self, &std::collections::BTreeSet::new()),
             generation: self.generation,
         }
     }
 }
 
-/// Incremental row digitization and array-level aggregation: the loop
-/// body of [`TdamArray::assemble`], factored out so the packed serving
-/// path ([`crate::packed`]) can push already-digitized rows without
-/// materializing an intermediate `Vec<ChainResult>` per query — with the
-/// same accumulation order (row order), so the energy arithmetic stays
-/// bitwise identical between the paths whenever the per-row figures are.
+/// Incremental row digitization and array-level aggregation, shared by
+/// [`TdamArray::search`] and the packed serving path ([`crate::packed`]),
+/// which pushes already-digitized rows — with the same accumulation order
+/// (row order), so the energy arithmetic stays bitwise identical between
+/// the paths whenever the per-row figures are.
 struct OutcomeAccumulator {
     rows: Vec<RowResult>,
     energy: EnergyBreakdown,
@@ -474,7 +460,7 @@ impl OutcomeAccumulator {
         }
     }
 
-    /// Digitizes one behavioral/LUT chain result and accumulates it.
+    /// Digitizes one behavioral chain result and accumulates it.
     fn push_chain(&mut self, array: &TdamArray, chain_result: ChainResult) {
         let count = array.tdc.convert(chain_result.total_delay);
         let decoded = array.tdc.decode_mismatches(
@@ -530,26 +516,14 @@ impl OutcomeAccumulator {
     }
 }
 
-/// One compiled search: table rows walk the LUT, perturbed rows fall back
-/// to the full model. Shared by [`CompiledArray`] and [`CompiledSnapshot`].
-fn compiled_search(
-    array: &TdamArray,
-    compiled: &[Option<crate::chain::CompiledChain>],
-    query: &[u8],
-) -> Result<SearchOutcome, TdamError> {
-    // Validate once up front; the per-row table walks then skip the
-    // redundant length/range checks (the dominant overhead for small
-    // compiled rows).
-    validate_query(array, query)?;
-    let results = compiled
-        .iter()
-        .zip(&array.chains)
-        .map(|(compiled, chain)| match compiled {
-            Some(c) => Ok(c.evaluate_prevalidated(query)),
-            None => chain.evaluate(query),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(array.assemble(results))
+/// Refuses a compiled view built at generation `compiled` once its
+/// source array has moved on to `current`.
+fn check_fresh(compiled: u64, current: u64) -> Result<(), TdamError> {
+    if compiled == current {
+        Ok(())
+    } else {
+        Err(TdamError::StaleCompile { compiled, current })
+    }
 }
 
 /// Shape- and range-checks one query against the array geometry.
@@ -661,71 +635,63 @@ fn packed_search_prevalidated(
     finish_search_from_counts(array, packed, scratch, 0, query)
 }
 
-/// One worker item of the tiled batch-search driver: expands queries
-/// `[tile·QUERY_TILE, …)` of the batch into the tile scratch, runs the
-/// block kernel once for the whole tile, and finishes each query in
-/// batch order (so the first error a tile reports is the first in batch
-/// order, preserving the drivers' error contract through the flatten).
-fn packed_search_tile(
+/// The tiled batch driver behind every packed batch path: validates the
+/// batch once, then fans tiles of [`QUERY_TILE`] queries out across
+/// `threads` workers, each reusing one tile scratch. Per tile it expands
+/// queries `[tile·QUERY_TILE, …)`, runs the block kernel once for the
+/// whole tile, and `finish`es each query in batch order (so the first
+/// error a tile reports is the first in batch order, preserving the
+/// drivers' error contract through the flatten).
+fn packed_batch<T, F>(
     array: &TdamArray,
     packed: &PackedArray,
-    batch: &crate::engine::BatchQuery,
-    tile: usize,
-    scratch: &mut PackedScratch,
-) -> Result<Vec<SearchOutcome>, TdamError> {
-    let start = tile * QUERY_TILE;
-    let end = (start + QUERY_TILE).min(batch.len());
-    packed.expand_tile((start..end).map(|i| batch.get(i)), scratch);
-    packed.mismatch_counts(scratch);
-    (start..end)
-        .enumerate()
-        .map(|(t, i)| finish_search_from_counts(array, packed, scratch, t, batch.get(i)))
-        .collect()
+    batch: &BatchQuery,
+    threads: Option<usize>,
+    finish: F,
+) -> Result<Vec<T>, TdamError>
+where
+    T: Send,
+    F: Fn(&TdamArray, &PackedArray, &PackedScratch, usize, &[u8]) -> Result<T, TdamError> + Sync,
+{
+    validate_batch(array, batch)?;
+    let tiles = crate::parallel::run_chunked_scratch(
+        batch.len().div_ceil(QUERY_TILE),
+        threads,
+        || packed.tile_scratch(QUERY_TILE),
+        |scratch, tile| {
+            let start = tile * QUERY_TILE;
+            let end = (start + QUERY_TILE).min(batch.len());
+            packed.expand_tile((start..end).map(|i| batch.get(i)), scratch);
+            packed.mismatch_counts(scratch);
+            (start..end)
+                .enumerate()
+                .map(|(t, i)| finish(array, packed, scratch, t, batch.get(i)))
+                .collect::<Result<Vec<_>, _>>()
+        },
+    )?;
+    Ok(tiles.into_iter().flatten().collect())
 }
 
-/// As [`packed_search_tile`], decision-only.
-fn packed_decide_tile(
-    array: &TdamArray,
-    packed: &PackedArray,
-    batch: &crate::engine::BatchQuery,
-    tile: usize,
-    scratch: &mut PackedScratch,
-) -> Result<Vec<crate::packed::PackedDecision>, TdamError> {
-    let start = tile * QUERY_TILE;
-    let end = (start + QUERY_TILE).min(batch.len());
-    packed.expand_tile((start..end).map(|i| batch.get(i)), scratch);
-    packed.mismatch_counts(scratch);
-    (start..end)
-        .enumerate()
-        .map(|(t, i)| finish_decide_from_counts(array, packed, scratch, t, batch.get(i)))
-        .collect()
-}
-
-/// A read-only compiled view of a [`TdamArray`]: every nominal row's
-/// delay function collapsed to a flat lookup table, shareable across
-/// worker threads for batched serving.
+/// A read-only compiled view of a [`TdamArray`]: every nominal row
+/// packed into the bit-sliced kernel ([`crate::packed`]), shareable
+/// across worker threads for batched serving.
 ///
-/// Produced by [`TdamArray::compile`]. Searches through this view return
-/// results **bit-identical** to [`TdamArray::search`].
+/// Produced by [`TdamArray::compile`]. Decisions (winners, decoded
+/// distances) through this view are exactly those of
+/// [`TdamArray::search`]; analog figures carry the packed reconstruction
+/// contract.
 #[derive(Debug, Clone)]
 pub struct CompiledArray<'a> {
     array: &'a TdamArray,
-    compiled: Vec<Option<crate::chain::CompiledChain>>,
     packed: PackedArray,
     generation: u64,
 }
 
 impl CompiledArray<'_> {
-    /// How many rows compiled to lookup tables (the rest fall back to the
-    /// full variation-aware model).
-    pub fn compiled_rows(&self) -> usize {
-        self.compiled.iter().filter(|c| c.is_some()).count()
-    }
-
     /// How many rows the bit-sliced packed kernel serves (the rest fall
-    /// back to the full variation-aware model). Equals
-    /// [`CompiledArray::compiled_rows`]: packing and LUT compilation
-    /// refuse exactly the same (non-nominal or degenerate-timing) rows.
+    /// back to the full variation-aware model): packing refuses rows
+    /// holding any non-nominal cell, and every row when the timing is
+    /// degenerate (`d_inv + d_c == d_inv`).
     pub fn packed_rows(&self) -> usize {
         self.packed.packed_rows()
     }
@@ -736,34 +702,10 @@ impl CompiledArray<'_> {
         &self.packed
     }
 
-    /// Whether every row is served from a lookup table.
-    pub fn fully_compiled(&self) -> bool {
-        self.compiled.iter().all(Option::is_some)
-    }
-
-    /// The array [generation](TdamArray::generation) these tables were
+    /// The array [generation](TdamArray::generation) this view was
     /// compiled at.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Searches one query through the compiled tables.
-    ///
-    /// # Errors
-    ///
-    /// As [`TdamArray::search`], plus [`TdamError::StaleCompile`] if the
-    /// array's generation no longer matches the one the tables were built
-    /// at. (The shared borrow already prevents reprogramming while this
-    /// view is alive, so the check documents the contract shared with the
-    /// owned [`CompiledSnapshot`] rather than catching live mutation.)
-    pub fn search(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        if self.array.generation != self.generation {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: self.array.generation,
-            });
-        }
-        compiled_search(self.array, &self.compiled, query)
     }
 
     /// Searches one query through the bit-sliced packed kernel
@@ -774,14 +716,13 @@ impl CompiledArray<'_> {
     ///
     /// # Errors
     ///
-    /// As [`CompiledArray::search`].
+    /// As [`TdamArray::search`], plus [`TdamError::StaleCompile`] if the
+    /// array's generation no longer matches the one the view was built
+    /// at. (The shared borrow already prevents reprogramming while this
+    /// view is alive, so the check documents the contract shared with the
+    /// owned [`CompiledSnapshot`] rather than catching live mutation.)
     pub fn search_packed(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        if self.array.generation != self.generation {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: self.array.generation,
-            });
-        }
+        check_fresh(self.generation, self.array.generation)?;
         validate_query(self.array, query)?;
         let mut scratch = self.packed.scratch();
         packed_search_prevalidated(self.array, &self.packed, query, &mut scratch)
@@ -801,38 +742,17 @@ impl CompiledArray<'_> {
     /// Propagates the first per-query error in batch order.
     pub fn search_batch(
         &self,
-        batch: &crate::engine::BatchQuery,
+        batch: &BatchQuery,
         threads: Option<usize>,
     ) -> Result<Vec<SearchOutcome>, TdamError> {
-        if self.array.generation != self.generation {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: self.array.generation,
-            });
-        }
-        validate_batch(self.array, batch)?;
-        let tiles = crate::parallel::run_chunked_scratch(
-            batch.len().div_ceil(QUERY_TILE),
+        check_fresh(self.generation, self.array.generation)?;
+        packed_batch(
+            self.array,
+            &self.packed,
+            batch,
             threads,
-            || self.packed.tile_scratch(QUERY_TILE),
-            |scratch, tile| packed_search_tile(self.array, &self.packed, batch, tile, scratch),
-        )?;
-        Ok(tiles.into_iter().flatten().collect())
-    }
-
-    /// Answers a whole batch through the scalar per-cell delay LUTs —
-    /// the pre-packed serving path, kept as the bit-identical-to-
-    /// behavioral comparison tier for benchmarks and equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledArray::search_batch`].
-    pub fn search_batch_lut(
-        &self,
-        batch: &crate::engine::BatchQuery,
-        threads: Option<usize>,
-    ) -> Result<Vec<SearchOutcome>, TdamError> {
-        crate::parallel::run_chunked(batch.len(), threads, |i| self.search(batch.get(i)))
+            finish_search_from_counts,
+        )
     }
 
     /// Answers a whole batch decision-only: per-query winner and decoded
@@ -848,23 +768,17 @@ impl CompiledArray<'_> {
     /// As [`CompiledArray::search_batch`].
     pub fn decide_batch(
         &self,
-        batch: &crate::engine::BatchQuery,
+        batch: &BatchQuery,
         threads: Option<usize>,
     ) -> Result<Vec<crate::packed::PackedDecision>, TdamError> {
-        if self.array.generation != self.generation {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: self.array.generation,
-            });
-        }
-        validate_batch(self.array, batch)?;
-        let tiles = crate::parallel::run_chunked_scratch(
-            batch.len().div_ceil(QUERY_TILE),
+        check_fresh(self.generation, self.array.generation)?;
+        packed_batch(
+            self.array,
+            &self.packed,
+            batch,
             threads,
-            || self.packed.tile_scratch(QUERY_TILE),
-            |scratch, tile| packed_decide_tile(self.array, &self.packed, batch, tile, scratch),
-        )?;
-        Ok(tiles.into_iter().flatten().collect())
+            finish_decide_from_counts,
+        )
     }
 
     /// Forces a dispatch-ladder rung for this view's packed kernel
@@ -882,25 +796,24 @@ impl CompiledArray<'_> {
     }
 }
 
-/// An **owned** compiled view of a [`TdamArray`]: the delay tables plus a
-/// clone of the source array, stamped with the source's
+/// An **owned** compiled view of a [`TdamArray`]: the packed bit planes
+/// plus a clone of the source array, stamped with the source's
 /// [generation](TdamArray::generation) at compile time.
 ///
 /// Unlike [`CompiledArray`], a snapshot outlives the borrow of its source,
 /// so the source can be reprogrammed while the snapshot is held — exactly
-/// the situation where serving from the old tables would silently return
+/// the situation where serving from the old planes would silently return
 /// wrong bits. Every checked search therefore revalidates the source's
 /// generation and fails with [`TdamError::StaleCompile`] once they
 /// diverge; the serving runtime ([`crate::runtime`]) catches that error
 /// and recompiles.
 ///
-/// Produced by [`TdamArray::compile_snapshot`]. Searches return results
-/// **bit-identical** to [`TdamArray::search`] on the array state at
-/// compile time.
+/// Produced by [`TdamArray::compile_snapshot`]. Decisions match
+/// [`TdamArray::search`] on the array state at compile time exactly;
+/// analog figures carry the packed reconstruction contract.
 #[derive(Debug, Clone)]
 pub struct CompiledSnapshot {
     array: TdamArray,
-    compiled: Vec<Option<crate::chain::CompiledChain>>,
     packed: PackedArray,
     generation: u64,
 }
@@ -918,19 +831,7 @@ impl CompiledSnapshot {
         source.generation == self.generation
     }
 
-    /// How many rows compiled to lookup tables (the rest fall back to the
-    /// full variation-aware model).
-    pub fn compiled_rows(&self) -> usize {
-        self.compiled.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// Whether every row is served from a lookup table.
-    pub fn fully_compiled(&self) -> bool {
-        self.compiled.iter().all(Option::is_some)
-    }
-
-    /// How many rows the bit-sliced packed kernel serves (equals
-    /// [`CompiledSnapshot::compiled_rows`]; see
+    /// How many rows the bit-sliced packed kernel serves (see
     /// [`CompiledArray::packed_rows`]).
     pub fn packed_rows(&self) -> usize {
         self.packed.packed_rows()
@@ -941,35 +842,6 @@ impl CompiledSnapshot {
         &self.packed
     }
 
-    /// Searches one query, first verifying the snapshot still matches
-    /// `source`.
-    ///
-    /// # Errors
-    ///
-    /// [`TdamError::StaleCompile`] if `source` was mutated after this
-    /// snapshot was compiled; otherwise as [`TdamArray::search`].
-    pub fn search(&self, source: &TdamArray, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
-        self.search_unchecked(query)
-    }
-
-    /// Searches one query against the snapshot's own (internally
-    /// consistent) state, without consulting the source array. Use when
-    /// staleness has already been checked for the whole batch, or when
-    /// serving deliberately from the frozen snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`TdamArray::search`].
-    pub fn search_unchecked(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        compiled_search(&self.array, &self.compiled, query)
-    }
-
     /// Searches one query through the bit-sliced packed kernel, first
     /// verifying the snapshot still matches `source`. Decisions (counts,
     /// decoded distances, winner) are exactly identical to the behavioral
@@ -978,24 +850,21 @@ impl CompiledSnapshot {
     ///
     /// # Errors
     ///
-    /// As [`CompiledSnapshot::search`].
+    /// [`TdamError::StaleCompile`] if `source` was mutated after this
+    /// snapshot was compiled; otherwise as [`TdamArray::search`].
     pub fn search_packed(
         &self,
         source: &TdamArray,
         query: &[u8],
     ) -> Result<SearchOutcome, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
+        check_fresh(self.generation, source.generation)?;
         self.search_packed_unchecked(query)
     }
 
-    /// Packed-kernel search against the snapshot's own frozen state,
-    /// without consulting the source array (see
-    /// [`CompiledSnapshot::search_unchecked`]).
+    /// Packed-kernel search against the snapshot's own (internally
+    /// consistent) state, without consulting the source array. Use when
+    /// staleness has already been checked for the whole batch, or when
+    /// serving deliberately from the frozen snapshot.
     ///
     /// # Errors
     ///
@@ -1019,47 +888,17 @@ impl CompiledSnapshot {
     pub fn search_batch(
         &self,
         source: &TdamArray,
-        batch: &crate::engine::BatchQuery,
+        batch: &BatchQuery,
         threads: Option<usize>,
     ) -> Result<Vec<SearchOutcome>, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
-        validate_batch(&self.array, batch)?;
-        let tiles = crate::parallel::run_chunked_scratch(
-            batch.len().div_ceil(QUERY_TILE),
+        check_fresh(self.generation, source.generation)?;
+        packed_batch(
+            &self.array,
+            &self.packed,
+            batch,
             threads,
-            || self.packed.tile_scratch(QUERY_TILE),
-            |scratch, tile| packed_search_tile(&self.array, &self.packed, batch, tile, scratch),
-        )?;
-        Ok(tiles.into_iter().flatten().collect())
-    }
-
-    /// Answers a whole batch through the scalar per-cell delay LUTs (the
-    /// bit-identical-to-behavioral comparison tier; see
-    /// [`CompiledArray::search_batch_lut`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSnapshot::search_batch`].
-    pub fn search_batch_lut(
-        &self,
-        source: &TdamArray,
-        batch: &crate::engine::BatchQuery,
-        threads: Option<usize>,
-    ) -> Result<Vec<SearchOutcome>, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
-        crate::parallel::run_chunked(batch.len(), threads, |i| {
-            self.search_unchecked(batch.get(i))
-        })
+            finish_search_from_counts,
+        )
     }
 
     /// Answers a whole batch decision-only against the snapshot's frozen
@@ -1072,29 +911,22 @@ impl CompiledSnapshot {
     pub fn decide_batch(
         &self,
         source: &TdamArray,
-        batch: &crate::engine::BatchQuery,
+        batch: &BatchQuery,
         threads: Option<usize>,
     ) -> Result<Vec<crate::packed::PackedDecision>, TdamError> {
-        if !self.is_fresh(source) {
-            return Err(TdamError::StaleCompile {
-                compiled: self.generation,
-                current: source.generation,
-            });
-        }
-        validate_batch(&self.array, batch)?;
-        let tiles = crate::parallel::run_chunked_scratch(
-            batch.len().div_ceil(QUERY_TILE),
+        check_fresh(self.generation, source.generation)?;
+        packed_batch(
+            &self.array,
+            &self.packed,
+            batch,
             threads,
-            || self.packed.tile_scratch(QUERY_TILE),
-            |scratch, tile| packed_decide_tile(&self.array, &self.packed, batch, tile, scratch),
-        )?;
-        Ok(tiles.into_iter().flatten().collect())
+            finish_decide_from_counts,
+        )
     }
 
     /// Incrementally re-syncs this snapshot to `source` after row
     /// mutations, rebuilding **only** the listed rows: each row's chain is
-    /// recloned, its scalar delay LUT recompiled, and its packed bit
-    /// planes surgically rewritten in place
+    /// recloned and its packed bit planes surgically rewritten in place
     /// ([`PackedArray::repack_row`](crate::packed::PackedArray)); the
     /// snapshot then adopts `source`'s generation. Cost is O(rows
     /// touched · stages) instead of the O(array) of a fresh
@@ -1121,9 +953,7 @@ impl CompiledSnapshot {
         debug_assert_eq!(self.array.config, source.config);
         let mut refreshed = 0;
         for row in rows {
-            let chain = source.chains[row].clone();
-            self.compiled[row] = chain.compile();
-            self.array.chains[row] = chain;
+            self.array.chains[row] = source.chains[row].clone();
             self.packed.repack_row(&self.array, row);
             refreshed += 1;
         }
@@ -1220,6 +1050,18 @@ mod tests {
                 .with_stages(stages),
         )
         .unwrap()
+    }
+
+    /// The packed contract against the behavioral reference: per-row
+    /// mismatch counts, decoded distances, and the winner are exactly
+    /// equal (analog figures are pinned in `tests/packed_equiv.rs`).
+    fn assert_same_decisions(got: &SearchOutcome, reference: &SearchOutcome) {
+        assert_eq!(got.best_row(), reference.best_row());
+        assert_eq!(got.decoded(), reference.decoded());
+        for (g, r) in got.rows.iter().zip(&reference.rows) {
+            assert_eq!(g.chain.even_mismatches, r.chain.even_mismatches);
+            assert_eq!(g.chain.odd_mismatches, r.chain.odd_mismatches);
+        }
     }
 
     #[test]
@@ -1360,19 +1202,17 @@ mod tests {
     }
 
     #[test]
-    fn compiled_array_bit_identical_search() {
+    fn compiled_array_decisions_match_reference() {
         let mut am = array(6, 16);
         for row in 0..6 {
             let v: Vec<u8> = (0..16).map(|i| ((i + row) % 4) as u8).collect();
             am.store(row, &v).unwrap();
         }
         let compiled = am.compile();
-        assert!(compiled.fully_compiled());
-        assert_eq!(compiled.compiled_rows(), 6);
+        assert_eq!(compiled.packed_rows(), 6);
         for q in [vec![0u8; 16], (0..16).map(|i| (i % 4) as u8).collect()] {
             let reference = TdamArray::search(&am, &q).unwrap();
-            let fast = compiled.search(&q).unwrap();
-            assert_eq!(fast, reference, "compiled path must be bit-identical");
+            assert_same_decisions(&compiled.search_packed(&q).unwrap(), &reference);
         }
     }
 
@@ -1381,20 +1221,20 @@ mod tests {
         let mut am = array(3, 8);
         am.store(0, &[1; 8]).unwrap();
         am.store(2, &[2; 8]).unwrap();
-        // Row 1: perturbed thresholds — must not compile, must still agree
+        // Row 1: perturbed thresholds — must not pack, must still agree
         // with the reference search via the fallback path.
         let cells = (0..8)
             .map(|_| crate::cell::Cell::with_vth(1, am.config().encoding, 0.63, 1.02).unwrap())
             .collect();
         am.store_cells(1, cells).unwrap();
         let compiled = am.compile();
-        assert!(!compiled.fully_compiled());
-        assert_eq!(compiled.compiled_rows(), 2);
+        assert_eq!(compiled.packed_rows(), 2);
         let q = vec![2u8; 8];
-        assert_eq!(
-            compiled.search(&q).unwrap(),
-            TdamArray::search(&am, &q).unwrap()
-        );
+        let got = compiled.search_packed(&q).unwrap();
+        let reference = TdamArray::search(&am, &q).unwrap();
+        assert_same_decisions(&got, &reference);
+        // The fallback row runs the behavioral model itself: bit-identical.
+        assert_eq!(got.rows[1], reference.rows[1]);
     }
 
     #[test]
@@ -1434,7 +1274,7 @@ mod tests {
             am.store(row, &v).unwrap();
         }
         let compiled = am.compile();
-        assert_eq!(compiled.packed_rows(), compiled.compiled_rows());
+        assert_eq!(compiled.packed_rows(), 4);
         let rows: Vec<Vec<u8>> = (0..5)
             .map(|k| (0..10).map(|i| ((i + k) % 4) as u8).collect())
             .collect();
@@ -1442,12 +1282,7 @@ mod tests {
         let batched = compiled.search_batch(&batch, Some(1)).unwrap();
         for (i, q) in rows.iter().enumerate() {
             assert_eq!(compiled.search_packed(q).unwrap(), batched[i]);
-        }
-        // The scalar LUT tier stays available and bit-identical to the
-        // behavioral reference.
-        let lut = compiled.search_batch_lut(&batch, Some(1)).unwrap();
-        for (i, q) in rows.iter().enumerate() {
-            assert_eq!(lut[i], TdamArray::search(&am, q).unwrap());
+            assert_same_decisions(&batched[i], &TdamArray::search(&am, q).unwrap());
         }
     }
 
@@ -1505,16 +1340,16 @@ mod tests {
         am.store(0, &[1, 2, 3, 0]).unwrap();
         let snap = am.compile_snapshot();
         assert!(snap.is_fresh(&am));
-        assert_eq!(
-            snap.search(&am, &[1, 2, 3, 0]).unwrap(),
-            TdamArray::search(&am, &[1, 2, 3, 0]).unwrap()
+        assert_same_decisions(
+            &snap.search_packed(&am, &[1, 2, 3, 0]).unwrap(),
+            &TdamArray::search(&am, &[1, 2, 3, 0]).unwrap(),
         );
 
-        // Reprogram after compile: the old tables would decode row 0 as a
+        // Reprogram after compile: the old planes would decode row 0 as a
         // perfect match for the *old* contents — that must be refused.
         am.store(0, &[3, 3, 3, 3]).unwrap();
         assert!(!snap.is_fresh(&am));
-        let err = snap.search(&am, &[1, 2, 3, 0]).unwrap_err();
+        let err = snap.search_packed(&am, &[1, 2, 3, 0]).unwrap_err();
         assert_eq!(
             err,
             TdamError::StaleCompile {
@@ -1528,13 +1363,13 @@ mod tests {
             TdamError::StaleCompile { .. }
         ));
         // The unchecked path still serves the frozen compile-time state.
-        let frozen = snap.search_unchecked(&[1, 2, 3, 0]).unwrap();
+        let frozen = snap.search_packed_unchecked(&[1, 2, 3, 0]).unwrap();
         assert_eq!(frozen.rows[0].decoded_mismatches, 0);
 
         // Recompile heals it.
         let snap2 = am.compile_snapshot();
         assert_eq!(
-            snap2.search(&am, &[3, 3, 3, 3]).unwrap().best_row(),
+            snap2.search_packed(&am, &[3, 3, 3, 3]).unwrap().best_row(),
             Some(0)
         );
         assert_eq!(err.class(), crate::ErrorClass::Transient);
@@ -1567,10 +1402,6 @@ mod tests {
             .collect();
         for q in &rows {
             assert_eq!(
-                snap.search(&am, q).unwrap(),
-                rebuilt.search(&am, q).unwrap()
-            );
-            assert_eq!(
                 snap.search_packed(&am, q).unwrap(),
                 rebuilt.search_packed(&am, q).unwrap()
             );
@@ -1589,42 +1420,42 @@ mod tests {
             am.store(row, &[1; 8]).unwrap();
         }
         let mut snap = am.compile_snapshot();
-        assert!(snap.fully_compiled());
-        // A perturbed-cell write demotes the row's scalar LUT and packed
-        // service on refresh...
+        assert_eq!(snap.packed_rows(), 3);
+        // A perturbed-cell write demotes the row's packed service on
+        // refresh...
         let cells = (0..8)
             .map(|_| crate::cell::Cell::with_vth(1, am.config().encoding, 0.63, 1.02).unwrap())
             .collect();
         am.store_cells(1, cells).unwrap();
         snap.refresh_rows(&am, [1usize]);
-        assert_eq!(snap.compiled_rows(), 2);
         assert_eq!(snap.packed_rows(), 2);
-        // ...and a nominal rewrite restores both tiers.
+        // ...and a nominal rewrite restores it.
         am.store(1, &[2; 8]).unwrap();
         snap.refresh_rows(&am, [1usize]);
-        assert!(snap.fully_compiled());
         assert_eq!(snap.packed_rows(), 3);
-        assert_eq!(snap.search_unchecked(&[2; 8]).unwrap().best_row(), Some(1));
+        assert_eq!(
+            snap.search_packed_unchecked(&[2; 8]).unwrap().best_row(),
+            Some(1)
+        );
     }
 
     #[test]
-    fn snapshot_search_bit_identical_to_reference() {
+    fn snapshot_search_matches_reference() {
         let mut am = array(5, 16);
         for row in 0..5 {
             let v: Vec<u8> = (0..16).map(|i| ((i * 3 + row) % 4) as u8).collect();
             am.store(row, &v).unwrap();
         }
         let snap = am.compile_snapshot();
-        assert!(snap.fully_compiled());
-        assert_eq!(snap.compiled_rows(), 5);
+        assert_eq!(snap.packed_rows(), 5);
         assert_eq!(snap.generation(), am.generation());
         let rows: Vec<Vec<u8>> = (0..9)
             .map(|k| (0..16).map(|i| ((i + k) % 4) as u8).collect())
             .collect();
         for q in &rows {
-            assert_eq!(
-                snap.search(&am, q).unwrap(),
-                TdamArray::search(&am, q).unwrap()
+            assert_same_decisions(
+                &snap.search_packed(&am, q).unwrap(),
+                &TdamArray::search(&am, q).unwrap(),
             );
         }
         let batch = BatchQuery::from_rows(&rows).unwrap();

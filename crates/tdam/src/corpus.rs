@@ -677,6 +677,8 @@ impl CorpusEngine {
         }
         candidates.sort_unstable();
         candidates.truncate(k);
+        // Release the scan-sized buffer: answers hold k entries only.
+        candidates.shrink_to_fit();
         self.stats.queries += 1;
         self.stats.answered += 1;
         Ok((candidates, probed))
@@ -1126,6 +1128,20 @@ mod tests {
             // (a duplicate row at a lower id legitimately outranks `id`).
             assert_eq!(top[0].0, 0, "stored row found at distance 0");
             assert_eq!(eng.row_codes(top[0].1).unwrap(), &rows[id][..]);
+        }
+    }
+
+    #[test]
+    fn probed_answers_hold_only_their_k_entries() {
+        let cfg = small_cfg();
+        let rows = clustered_corpus(&cfg, 200, 6, 8, 0xE);
+        let mut b = CorpusBuilder::new(cfg).unwrap();
+        b.append_rows(&rows).unwrap();
+        let mut eng = b.build().unwrap();
+        for k in [1usize, 5, 10] {
+            let (got, _) = eng.search_topk_probed(&rows[k], k).unwrap();
+            assert_eq!(got.len(), k);
+            assert!(got.capacity() <= k, "k={k}: capacity {}", got.capacity());
         }
     }
 

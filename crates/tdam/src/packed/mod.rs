@@ -5,16 +5,15 @@
 //!
 //! The TD-AM's serving decision reduces to counting per-parity code
 //! mismatches per row: a matching stage contributes `d_INV` to its step,
-//! a mismatching stage `d_INV + d_C` (see [`crate::chain`]). The scalar
-//! compiled path ([`crate::chain::CompiledChain`]) walks ~`stages`
-//! dependent f64 LUT loads per row to rediscover that count. This module
+//! a mismatching stage `d_INV + d_C` (see [`crate::chain`]). The
+//! behavioral model ([`crate::chain::DelayChain::evaluate`]) walks every
+//! stage's cell physics per row to rediscover that count. This module
 //! replaces the walk with a bit-sliced compare:
 //!
 //! 1. **Packing** — each stored row's ≤4-bit level codes are bit-plane-
 //!    packed into `u64` words: bit `j mod 64` of plane word
 //!    `planes[row][b][j / 64]` is bit `b` of the level code stored at
-//!    stage `j`. A 128-stage 2-bit row shrinks from a 4 KiB f64 LUT to
-//!    four words.
+//!    stage `j`. A 128-stage 2-bit row packs into four words.
 //! 2. **Query broadcast** — one query (or a tile of them) expands once
 //!    per batch-worker into the same plane layout
 //!    ([`PackedArray::expand_query`] / [`PackedArray::expand_tile`]),
@@ -27,8 +26,8 @@
 //!    single-row reference [`PackedArray::row_mismatches`]).
 //! 4. **Reconstruction** — delays, TDC digitization, and energies are
 //!    rebuilt from the `(even, odd)` counts via count-indexed tables
-//!    built by the same repeated-addition discipline as the scalar path's
-//!    cumulative energy tables (`PackedArray::digest`).
+//!    built by the same repeated-addition discipline as the behavioral
+//!    model's per-stage energy accumulation (`PackedArray::digest`).
 //!
 //! # Execution: the dispatch ladder and the lane layout
 //!
@@ -123,7 +122,7 @@
 //!
 //! Rows holding variation-perturbed cells cannot be packed (their delay
 //! is not a pure function of the mismatch pattern) and keep the full
-//! behavioral fallback, exactly like the scalar compiled path.
+//! behavioral fallback.
 //!
 //! # Masked stages
 //!
@@ -379,7 +378,8 @@ pub struct PackedArray {
     max_even: usize,
     max_odd: usize,
     /// Cumulative load-cap / match-node energies by total mismatch
-    /// count, built by repeated addition exactly like the scalar path.
+    /// count, built by repeated addition exactly like the behavioral
+    /// model's accumulation.
     cum_cap_energy: Vec<f64>,
     cum_mn_energy: Vec<f64>,
     inverter_energy: f64,
@@ -393,8 +393,8 @@ impl PackedArray {
     /// in `masked` are packed as always-match (see the module docs). Rows
     /// with non-nominal cells outside the mask are flagged for the
     /// behavioral fallback. A degenerate calibration where `d_INV + d_C`
-    /// is indistinguishable from `d_INV` refuses to pack any row, like
-    /// [`DelayChain::compile`](crate::chain::DelayChain::compile).
+    /// is indistinguishable from `d_INV` refuses to pack any row: the
+    /// mismatch count would no longer be recoverable from delay.
     pub fn build(array: &TdamArray, masked: &BTreeSet<usize>) -> Self {
         let config = array.config();
         let stages = config.stages;
@@ -496,8 +496,8 @@ impl PackedArray {
         let packable = vec![false; rows];
 
         // Count-indexed reconstruction tables, all built by repeated
-        // addition — the same discipline as the scalar compiled path's
-        // cumulative energy tables, so the energy figures stay bitwise
+        // addition — the same discipline as the behavioral model's
+        // per-stage energy accumulation, so the energy figures stay bitwise
         // equal to the behavioral accumulation of identical addends.
         let max_even = stages.div_ceil(2);
         let max_odd = stages / 2;
@@ -1081,19 +1081,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_timing_refuses_to_pack() {
-        let am = seeded_array(2, 8, 2, 1);
-        // Forge a calibration where d_C vanishes under d_INV in f64: the
-        // mismatch count is no longer recoverable from delay, so no row
-        // may be packed (mirroring DelayChain::compile's refusal).
-        let mut timing = *am.timing();
-        timing.d_c = timing.d_inv * f64::EPSILON * 0.25;
-        let degenerate = TdamArray::with_timing(*am.config(), timing).unwrap();
-        let packed = PackedArray::build(&degenerate, &BTreeSet::new());
-        assert_eq!(packed.packed_rows(), 0);
-    }
-
-    #[test]
     fn digest_table_and_on_the_fly_paths_agree() {
         let am = seeded_array(2, 33, 2, 7);
         let mut packed = PackedArray::build(&am, &BTreeSet::new());
@@ -1219,22 +1206,35 @@ mod tests {
     }
 
     #[test]
-    fn packing_tracks_delay_chain_compile_refusals() {
-        // Whatever refuses DelayChain::compile also refuses packing (and
-        // vice versa) when no mask is in play, so the scalar and packed
-        // tiers always agree on which rows are fast-path.
-        let mut am = seeded_array(2, 12, 3, 42);
+    fn packing_refuses_exactly_non_nominal_rows_and_degenerate_timing() {
+        // With no mask in play, a row packs iff every cell is nominal and
+        // `d_inv + d_c` is distinguishable from `d_inv`. One perturbed
+        // cell is enough to refuse a row.
+        let mut am = seeded_array(2, 12, 4, 42);
+        let enc = am.config().encoding;
         let cells = (0..12)
-            .map(|_| crate::cell::Cell::with_vth(1, am.config().encoding, 0.65, 1.05).unwrap())
+            .map(|_| crate::cell::Cell::with_vth(1, enc, 0.65, 1.05).unwrap())
             .collect();
         am.store_cells(2, cells).unwrap();
+        let mut one_off: Vec<_> = (0..12)
+            .map(|_| crate::cell::Cell::new(1, enc).unwrap())
+            .collect();
+        one_off[7] = crate::cell::Cell::with_vth(1, enc, 0.65, 1.05).unwrap();
+        am.store_cells(3, one_off).unwrap();
         let packed = PackedArray::build(&am, &BTreeSet::new());
         for (row, chain) in am.chains().iter().enumerate() {
-            assert_eq!(
-                packed.is_packed(row),
-                chain.compile().is_some(),
-                "row {row}"
-            );
+            let nominal = chain.cells().iter().all(|c| c.is_nominal());
+            assert_eq!(packed.is_packed(row), nominal, "row {row}");
         }
+        assert_eq!(packed.packed_rows(), 2);
+
+        let t = *am.timing();
+        assert!(t.d_inv + t.d_c != t.d_inv);
+        let mut timing = t;
+        timing.d_c = t.d_inv * f64::EPSILON * 0.25;
+        assert!(timing.d_inv + timing.d_c == timing.d_inv);
+        let degenerate = TdamArray::with_timing(*am.config(), timing).unwrap();
+        let packed = PackedArray::build(&degenerate, &BTreeSet::new());
+        assert_eq!(packed.packed_rows(), 0);
     }
 }

@@ -1067,6 +1067,8 @@ impl ShardedService {
         }
         candidates.sort_unstable();
         candidates.truncate(k);
+        // Release the scan-sized buffer: answers hold k entries only.
+        candidates.shrink_to_fit();
         let mut stats = lock(&self.stats);
         stats.requests += 1;
         if partial {
@@ -1270,23 +1272,6 @@ const REPLY_OVERLOADED: u8 = 1;
 const REPLY_ERROR: u8 = 2;
 const REPLY_STATS: u8 = 3;
 const REPLY_INFO: u8 = 4;
-
-fn backend_tag(b: BackendKind) -> u8 {
-    match b {
-        BackendKind::CompiledLut => 0,
-        BackendKind::Behavioral => 1,
-        BackendKind::DegradedMasked => 2,
-    }
-}
-
-fn backend_from_tag(t: u8) -> Result<BackendKind, ServeError> {
-    match t {
-        0 => Ok(BackendKind::CompiledLut),
-        1 => Ok(BackendKind::Behavioral),
-        2 => Ok(BackendKind::DegradedMasked),
-        _ => Err(ServeError::Protocol(format!("unknown backend tag {t}"))),
-    }
-}
 
 fn class_tag(c: ErrorClass) -> u8 {
     match c {
@@ -1543,7 +1528,7 @@ impl Reply {
                     w.put_usize(shard.rows);
                     w.put_bool(shard.down);
                     w.put_bool(shard.standby_ready);
-                    w.put_u8(backend_tag(shard.backend));
+                    shard.backend.encode(&mut w);
                     shard.stats.encode(&mut w);
                 }
                 w.put_bool(s.corpus.is_some());
@@ -1628,7 +1613,8 @@ impl Reply {
                         rows: r.get_usize().map_err(|_| truncated())?,
                         down: r.get_bool().map_err(|_| truncated())?,
                         standby_ready: r.get_bool().map_err(|_| truncated())?,
-                        backend: backend_from_tag(r.get_u8().map_err(|_| truncated())?)?,
+                        backend: BackendKind::decode(&mut r)
+                            .map_err(|e| ServeError::Protocol(e.to_string()))?,
                         stats: RuntimeStats::decode(&mut r).map_err(|_| truncated())?,
                     });
                 }
@@ -2790,7 +2776,7 @@ mod tests {
                     rows: 24,
                     down: false,
                     standby_ready: true,
-                    backend: BackendKind::CompiledLut,
+                    backend: BackendKind::Packed,
                     stats: RuntimeStats::default(),
                 }],
                 corpus: None,
@@ -2846,6 +2832,44 @@ mod tests {
         bytes.pop();
         assert!(matches!(
             Request::decode(&bytes),
+            Err(ServeError::Protocol(_))
+        ));
+    }
+
+    #[test]
+    fn backend_wire_tags_are_pinned() {
+        let stats = |backend| {
+            Reply::Stats(Box::new(StatsReply {
+                front: FrontStats::default(),
+                service: ServiceStats::default(),
+                shards: vec![ShardStatus {
+                    base: 0,
+                    rows: 8,
+                    down: false,
+                    standby_ready: false,
+                    backend,
+                    stats: RuntimeStats::default(),
+                }],
+                corpus: None,
+            }))
+            .encode()
+        };
+        let packed = stats(BackendKind::Packed);
+        let behavioral = stats(BackendKind::Behavioral);
+        let degraded = stats(BackendKind::DegradedMasked);
+        // The frames differ in the backend byte only.
+        let at = (0..packed.len())
+            .find(|&i| packed[i] != behavioral[i])
+            .expect("backend byte");
+        assert_eq!(
+            [packed[at], behavioral[at], degraded[at]],
+            [0, 1, 2],
+            "Packed/Behavioral/DegradedMasked tags"
+        );
+        let mut unknown = packed;
+        unknown[at] = 3;
+        assert!(matches!(
+            Reply::decode(&unknown),
             Err(ServeError::Protocol(_))
         ));
     }

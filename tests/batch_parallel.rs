@@ -145,16 +145,7 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
             .map(|q| TdamArray::search(&am, q).expect("reference search"))
             .collect();
         let compiled = am.compile();
-        assert!(compiled.fully_compiled(), "nominal rows must all compile");
         assert_eq!(compiled.packed_rows(), ROWS, "nominal rows must all pack");
-
-        // The scalar LUT tier stays bit-identical to the behavioral model.
-        let lut = compiled
-            .search_batch_lut(&batch, Some(1))
-            .expect("LUT batch");
-        for (i, (got, want)) in lut.iter().zip(&reference).enumerate() {
-            assert_eq!(got, want, "LUT batch query {i} diverged (seed {seed:#x})");
-        }
 
         // The packed tier: exact decision vs. the behavioral reference,
         // and **bitwise** thread-count invariance against itself.
@@ -169,6 +160,11 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
                 got.decoded(),
                 want.decoded(),
                 "packed decode {i} diverged (seed {seed:#x})"
+            );
+            // Identical counts give identical energies: bitwise equal.
+            assert_eq!(
+                got.energy, want.energy,
+                "packed energy {i} diverged (seed {seed:#x})"
             );
         }
         // The decision-only tier: same exact decisions, bitwise

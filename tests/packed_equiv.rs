@@ -508,7 +508,7 @@ fn resilient_engine_serves_packed_through_checkpoint_restore() {
     }
 
     let before = engine.serve(&batch).expect("serve before checkpoint");
-    assert_eq!(before.backend, BackendKind::CompiledLut);
+    assert_eq!(before.backend, BackendKind::Packed);
     let state = engine.checkpoint();
 
     let mut restored = ResilientEngine::restore(&state, RuntimeConfig::default()).expect("restore");
@@ -519,7 +519,7 @@ fn resilient_engine_serves_packed_through_checkpoint_restore() {
     let second = restored.serve(&batch).expect("second serve after restore");
     assert_eq!(
         second.backend,
-        BackendKind::CompiledLut,
+        BackendKind::Packed,
         "restored engine must re-promote to the packed compiled tier"
     );
     assert_eq!(second.best_rows(), before.best_rows());

@@ -85,6 +85,23 @@ fn exact_queries_rank_their_own_row_first() {
     }
 }
 
+#[test]
+fn topk_answers_hold_only_their_k_entries() {
+    let corpus = test_corpus(40);
+    let service = ShardedService::new(&test_config(16), &corpus, None).expect("service");
+    for k in [1, 3, 10] {
+        let got = service
+            .search_topk(&corpus[k], k, GENEROUS)
+            .expect("search");
+        assert_eq!(got.neighbors.len(), k);
+        assert!(
+            got.neighbors.capacity() <= k,
+            "k={k}: capacity {}",
+            got.neighbors.capacity()
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Admission control and deadline edges
 // ---------------------------------------------------------------------------
