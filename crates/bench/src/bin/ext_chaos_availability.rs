@@ -16,17 +16,15 @@
 use tdam::runtime::{run_chaos, ChaosConfig, DeadlinePolicy};
 use tdam_bench::{quick_mode, rline, Report};
 
-fn campaign(fault_rate: f64, panic_rate: f64, batches: usize, batch_size: usize) -> ChaosConfig {
-    let mut cfg = ChaosConfig::paper_default();
-    cfg.fault_rate = fault_rate;
-    cfg.panic_rate = panic_rate;
-    cfg.batches = batches;
-    cfg.batch_size = batch_size;
-    cfg
-}
-
 fn main() {
     let (batches, batch_size) = if quick_mode() { (8, 16) } else { (24, 32) };
+    let campaign = |fault_rate, panic_rate| ChaosConfig {
+        batches,
+        batch_size,
+        fault_rate,
+        panic_rate,
+        ..ChaosConfig::paper_default()
+    };
     let mut rpt = Report::new("ext_chaos_availability");
 
     // Injected chaos panics are caught by the runtime's per-slot isolation,
@@ -59,7 +57,7 @@ fn main() {
     let mut acceptance = None;
     for &fault_rate in &[0.0, 0.01, 0.05] {
         for &panic_rate in &[0.0, 0.02, 0.10] {
-            let cfg = campaign(fault_rate, panic_rate, batches, batch_size);
+            let cfg = campaign(fault_rate, panic_rate);
             let report = run_chaos(&cfg).expect("chaos campaign");
             rline!(
                 rpt,
@@ -84,7 +82,7 @@ fn main() {
 
     // Deadline demonstration: a query budget expires the tail of each batch
     // but the answered prefix is still served and correct.
-    let mut cfg = campaign(0.01, 0.02, batches, batch_size);
+    let mut cfg = campaign(0.01, 0.02);
     cfg.runtime.deadline = DeadlinePolicy::QueryBudget(batch_size / 2);
     let bounded = run_chaos(&cfg).expect("deadline campaign");
     rline!(

@@ -16,8 +16,8 @@
 //!    random row rewrites churning between batches (every batch then
 //!    crosses an epoch swap). The gate bounds the write-mix p99 at 2x
 //!    the read-only p99.
-//! 3. **Mutation chaos** — the `run_mutation_chaos` acceptance
-//!    campaign (>= 1000 served query slots judged against an
+//! 3. **Mutation chaos** — the `ChaosConfig::mutation` preset of the
+//!    `run_chaos` engine campaign (>= 1000 served query slots judged against an
 //!    independently replayed reference), once pure-mutation (zero
 //!    wrong answers required) and once with injected cell faults on
 //!    top (zero *silent* wrong answers required).
@@ -35,9 +35,7 @@ use tdam::array::TdamArray;
 use tdam::config::ArrayConfig;
 use tdam::engine::{BatchQuery, SimilarityEngine};
 use tdam::resilience::ResilienceConfig;
-use tdam::runtime::{
-    run_mutation_chaos, MutationChaosConfig, MutationChaosReport, ResilientEngine, RuntimeConfig,
-};
+use tdam::runtime::{run_chaos, ChaosConfig, ChaosReport, ResilientEngine, RuntimeConfig};
 use tdam::serve::percentile;
 use tdam_bench::{quick_mode, rline, JsonMap, Report};
 
@@ -52,7 +50,8 @@ fn median_ns(samples: &mut [u64]) -> u64 {
     samples[samples.len() / 2]
 }
 
-fn chaos_json(report: &MutationChaosReport) -> JsonMap {
+fn chaos_json(report: &ChaosReport) -> JsonMap {
+    let stats = &report.stats;
     JsonMap::new()
         .int("total_queries", report.total_queries as i64)
         .int("answered", report.answered as i64)
@@ -61,24 +60,18 @@ fn chaos_json(report: &MutationChaosReport) -> JsonMap {
         .int("wrong", report.wrong as i64)
         .int("silent_wrong", report.silent_wrong as i64)
         .int("degraded_answers", report.degraded_answers as i64)
-        .int("user_writes", report.user_writes as i64)
-        .int("physical_writes", report.physical_writes as i64)
+        .int("user_writes", stats.user_writes as i64)
+        .int("physical_writes", stats.physical_writes as i64)
         .num("write_amplification", report.write_amplification())
-        .int("wear_rotations", report.wear_rotations as i64)
-        .int("refresh_rewrites", report.refresh_rewrites as i64)
+        .int("wear_rotations", stats.wear_rotations as i64)
+        .int("refresh_rewrites", stats.refresh_rewrites as i64)
         .int("faults_injected", report.faults_injected as i64)
-        .int(
-            "incremental_repacks",
-            report.stats.incremental_repacks as i64,
-        )
-        .int("rows_repacked", report.stats.rows_repacked as i64)
-        .int("epoch_swaps", report.stats.epoch_swaps as i64)
+        .int("incremental_repacks", stats.incremental_repacks as i64)
+        .int("rows_repacked", stats.rows_repacked as i64)
+        .int("epoch_swaps", stats.epoch_swaps as i64)
         .int(
             "full_recompiles",
-            report
-                .stats
-                .recompiles
-                .saturating_sub(report.stats.incremental_repacks) as i64,
+            stats.recompiles.saturating_sub(stats.incremental_repacks) as i64,
         )
 }
 
@@ -285,8 +278,7 @@ fn main() {
     // 3. Mutation chaos: the acceptance campaign, pure and faulted.
     // ------------------------------------------------------------------
     rpt.header("mutation chaos campaign (independently replayed reference judge)");
-    let pure_cfg = MutationChaosConfig::paper_default();
-    let pure = run_mutation_chaos(&pure_cfg).expect("pure campaign");
+    let pure = run_chaos(&ChaosConfig::mutation()).expect("pure campaign");
     rline!(
         rpt,
         "pure mutation: {} slots, {} answered, {} wrong, {} silent wrong; \
@@ -295,14 +287,13 @@ fn main() {
         pure.answered,
         pure.wrong,
         pure.silent_wrong,
-        pure.user_writes,
-        pure.physical_writes,
+        pure.stats.user_writes,
+        pure.stats.physical_writes,
         pure.write_amplification(),
-        pure.wear_rotations,
-        pure.refresh_rewrites
+        pure.stats.wear_rotations,
+        pure.stats.refresh_rewrites
     );
-    let faulted_cfg = MutationChaosConfig::paper_default().with_faults(0.01);
-    let faulted = run_mutation_chaos(&faulted_cfg).expect("faulted campaign");
+    let faulted = run_chaos(&ChaosConfig::mutation().with_faults(0.01)).expect("faulted campaign");
     rline!(
         rpt,
         "faulted (1% cells): {} slots, {} answered, {} wrong ({} flagged degraded), \

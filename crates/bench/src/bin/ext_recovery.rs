@@ -4,8 +4,9 @@
 //! clean warm-start demonstration: a deployment is programmed, served,
 //! checkpointed, and recovered, and the recovered engine must answer the
 //! same query batch bit-identically to the pre-restart engine. Second,
-//! the seeded crash-injection campaign (`run_crash_chaos`): simulated
-//! kills at every byte boundary of the checkpoint commit sequence and of
+//! the seeded crash-injection campaign (`run_crash_chaos`, each scenario
+//! on a fresh in-memory `MemStorage` disk): simulated kills at every
+//! byte boundary of the checkpoint commit sequence and of
 //! the write-ahead journal, plus seeded bit flips and truncations of
 //! both file kinds, with every recovery compared against an
 //! independently replayed expected state. The acceptance bar: over 1000
@@ -23,14 +24,6 @@ use tdam::resilience::ResilienceConfig;
 use tdam::runtime::{ResilientEngine, RetryConfig, RuntimeConfig};
 use tdam::store::{run_crash_chaos, CheckpointStore, CrashChaosConfig, DurableEngine};
 use tdam_bench::{quick_mode, rline, Report};
-
-fn scratch(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tdam-ext-recovery-{}-{tag}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear scratch");
-    }
-    dir
-}
 
 fn warm_start_demo(rpt: &mut Report) {
     let stages = 16;
@@ -70,7 +63,11 @@ fn warm_start_demo(rpt: &mut Report) {
         batch.push(&q).expect("push");
     }
 
-    let dir = scratch("warm-start");
+    let dir = std::env::temp_dir().join(format!(
+        "tdam-ext-recovery-{}-warm-start",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
     let store = CheckpointStore::open(&dir).expect("open store");
     let mut durable = DurableEngine::new(store, engine).expect("durable");
     let before = durable.serve(&batch).expect("serve before checkpoint");
@@ -129,9 +126,7 @@ fn main() {
         cfg.journal_stride
     );
 
-    let dir = scratch("chaos");
-    let report = run_crash_chaos(&cfg, &dir).expect("crash campaign");
-    std::fs::remove_dir_all(&dir).ok();
+    let report = run_crash_chaos(&cfg).expect("crash campaign");
 
     rline!(rpt, "{:>28} {:>8}", "scenario family", "count");
     for (label, count) in [

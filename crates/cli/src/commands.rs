@@ -33,8 +33,8 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "power" => power(args),
         "faults" => faults(args),
         "bench-batch" => bench_batch(args),
-        "serve-chaos" => serve_chaos(args),
-        "mutate-chaos" => mutate_chaos(args),
+        "serve-chaos" => engine_chaos(args, false),
+        "mutate-chaos" => engine_chaos(args, true),
         "checkpoint" => checkpoint(args),
         "restore" => restore(args),
         "serve" => serve(args),
@@ -354,74 +354,17 @@ fn bench_batch(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-fn serve_chaos(args: &Args) -> Result<String, CliError> {
+/// `serve-chaos` and `mutate-chaos`: two presets of the one engine chaos
+/// campaign ([`tdam::runtime::run_chaos`]). `mutation` picks the
+/// read/write preset, whose report adds the write and repack lines.
+fn engine_chaos(args: &Args, mutation: bool) -> Result<String, CliError> {
     use tdam::runtime::{run_chaos, ChaosConfig, DeadlinePolicy};
 
-    let mut cfg = ChaosConfig::paper_default();
-    let stages = args.usize_or("stages", cfg.array.stages)?;
-    let rows = args.usize_or("rows", cfg.array.rows)?;
-    cfg.array = base_config(args)?.with_stages(stages).with_rows(rows);
-    cfg.resilience.spare_rows = args.usize_or("spares", cfg.resilience.spare_rows)?;
-    cfg.batches = args.usize_or("batches", cfg.batches)?;
-    cfg.batch_size = args.usize_or("batch", cfg.batch_size)?;
-    cfg.fault_rate = args.f64_or("fault-rate", cfg.fault_rate)?;
-    cfg.panic_rate = args.f64_or("panic-rate", cfg.panic_rate)?;
-    cfg.seed = args.usize_or("seed", cfg.seed as usize)? as u64;
-    for (name, rate) in [
-        ("fault-rate", cfg.fault_rate),
-        ("panic-rate", cfg.panic_rate),
-    ] {
-        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-            return Err(CliError::Usage(format!(
-                "--{name} is a probability and must be in 0..=1, got {rate}"
-            )));
-        }
-    }
-    if args.get("deadline-queries").is_some() {
-        cfg.runtime.deadline = DeadlinePolicy::QueryBudget(args.usize_or("deadline-queries", 0)?);
-    }
-    let report = run_chaos(&cfg)?;
-    Ok(format!(
-        "chaos campaign: {rows}x{stages} array, {} spares, seed {:#x}\n\
-         {} batches x {} queries, fault rate {:.2}%, panic rate {:.2}%\n\
-         availability: {:.2}%  ({} answered, {} timed out, {} failed of {})\n\
-         correctness: {} wrong, {} silent wrong, {} flagged degraded\n\
-         faults injected: {}   final backend: {:?} ({:?})\n\
-         runtime: {} retries ({} backoff waits), {} breaker trips, {} recompiles, \
-         {} health checks ({} missed), {} repairs, {} demotions, {} promotions\n",
-        cfg.resilience.spare_rows,
-        cfg.seed,
-        cfg.batches,
-        cfg.batch_size,
-        cfg.fault_rate * 100.0,
-        cfg.panic_rate * 100.0,
-        report.availability() * 100.0,
-        report.answered,
-        report.timed_out,
-        report.failed,
-        report.total_queries,
-        report.wrong,
-        report.silent_wrong,
-        report.degraded_answers,
-        report.faults_injected,
-        report.final_backend,
-        report.final_degradation,
-        report.stats.retries,
-        report.stats.backoff_waits,
-        report.stats.breaker_trips,
-        report.stats.recompiles,
-        report.stats.health_checks,
-        report.stats.health_misses,
-        report.stats.repairs,
-        report.stats.demotions,
-        report.stats.promotions
-    ))
-}
-
-fn mutate_chaos(args: &Args) -> Result<String, CliError> {
-    use tdam::runtime::{run_mutation_chaos, DeadlinePolicy, MutationChaosConfig};
-
-    let mut cfg = MutationChaosConfig::paper_default();
+    let mut cfg = if mutation {
+        ChaosConfig::mutation()
+    } else {
+        ChaosConfig::paper_default()
+    };
     let stages = args.usize_or("stages", cfg.array.stages)?;
     let rows = args.usize_or("rows", cfg.array.rows)?;
     cfg.array = base_config(args)?.with_stages(stages).with_rows(rows);
@@ -445,22 +388,26 @@ fn mutate_chaos(args: &Args) -> Result<String, CliError> {
     if args.get("deadline-queries").is_some() {
         cfg.runtime.deadline = DeadlinePolicy::QueryBudget(args.usize_or("deadline-queries", 0)?);
     }
-    let report = run_mutation_chaos(&cfg)?;
-    let out = format!(
-        "mutation chaos: {rows}x{stages} array, {} spares, seed {:#x}\n\
-         {} batches x {} queries, {} writes/batch, fault rate {:.2}%, panic rate {:.2}%\n\
+    let report = run_chaos(&cfg)?;
+    let stats = &report.stats;
+    let (title, writes, judge) = if mutation {
+        (
+            "mutation chaos",
+            format!("{} writes/batch, ", cfg.writes_per_batch),
+            " (judged against an independently replayed reference)",
+        )
+    } else {
+        ("chaos campaign", String::new(), "")
+    };
+    let mut out = format!(
+        "{title}: {rows}x{stages} array, {} spares, seed {:#x}\n\
+         {} batches x {} queries, {writes}fault rate {:.2}%, panic rate {:.2}%\n\
          availability: {:.2}%  ({} answered, {} timed out, {} failed of {})\n\
-         correctness: {} wrong, {} silent wrong, {} flagged degraded (judged against \
-         an independently replayed reference)\n\
-         writes: {} user, {} physical (amplification {:.3}x), {} wear rotations, \
-         {} refresh rewrites\n\
-         repack: {} incremental repacks covering {} rows, {} epoch swaps, {} full recompiles\n\
-         faults injected: {}   final backend: {:?} ({:?})\n",
+         correctness: {} wrong, {} silent wrong, {} flagged degraded{judge}\n",
         cfg.resilience.spare_rows,
         cfg.seed,
         cfg.batches,
         cfg.batch_size,
-        cfg.writes_per_batch,
         cfg.fault_rate * 100.0,
         cfg.panic_rate * 100.0,
         report.availability() * 100.0,
@@ -471,39 +418,51 @@ fn mutate_chaos(args: &Args) -> Result<String, CliError> {
         report.wrong,
         report.silent_wrong,
         report.degraded_answers,
-        report.user_writes,
-        report.physical_writes,
-        report.write_amplification(),
-        report.wear_rotations,
-        report.refresh_rewrites,
-        report.stats.incremental_repacks,
-        report.stats.rows_repacked,
-        report.stats.epoch_swaps,
-        report
-            .stats
-            .recompiles
-            .saturating_sub(report.stats.incremental_repacks),
+    );
+    if mutation {
+        out += &format!(
+            "writes: {} user, {} physical (amplification {:.3}x), {} wear rotations, \
+             {} refresh rewrites\n\
+             repack: {} incremental repacks covering {} rows, {} epoch swaps, {} full recompiles\n",
+            stats.user_writes,
+            stats.physical_writes,
+            report.write_amplification(),
+            stats.wear_rotations,
+            stats.refresh_rewrites,
+            stats.incremental_repacks,
+            stats.rows_repacked,
+            stats.epoch_swaps,
+            stats.recompiles.saturating_sub(stats.incremental_repacks),
+        );
+    }
+    out += &format!(
+        "faults injected: {}   final backend: {:?} ({:?})\n\
+         runtime: {} retries ({} backoff waits), {} breaker trips, {} recompiles, \
+         {} health checks ({} missed), {} repairs, {} demotions, {} promotions\n",
         report.faults_injected,
         report.final_backend,
         report.final_degradation,
+        stats.retries,
+        stats.backoff_waits,
+        stats.breaker_trips,
+        stats.recompiles,
+        stats.health_checks,
+        stats.health_misses,
+        stats.repairs,
+        stats.demotions,
+        stats.promotions
     );
     // The campaign gate: a silently wrong answer is forbidden under any
-    // fault mix, and a pure-mutation campaign (no injected cell faults)
-    // must be *correct* outright. Both are permanent failures — the same
-    // seed will corrupt the same way, so a retry is pointless.
-    if report.silent_wrong > 0 {
-        return Err(CliError::permanent(format!(
-            "{out}FAILED: {} silently wrong answer(s) delivered as nominal",
-            report.silent_wrong
-        )));
-    }
-    if cfg.fault_rate == 0.0 && report.wrong > 0 {
-        return Err(CliError::permanent(format!(
-            "{out}FAILED: {} wrong answer(s) in a pure-mutation campaign",
-            report.wrong
-        )));
-    }
-    Ok(out)
+    // fault mix, and a campaign without injected cell faults must be
+    // *correct* outright. Both are permanent failures — the same seed
+    // will corrupt the same way, so a retry is pointless.
+    let failure = match (report.silent_wrong, report.wrong) {
+        (0, 0) => return Ok(out),
+        (0, _) if cfg.fault_rate > 0.0 => return Ok(out),
+        (0, wrong) => format!("{wrong} wrong answer(s) in a campaign without cell faults"),
+        (silent, _) => format!("{silent} silently wrong answer(s) delivered as nominal"),
+    };
+    Err(CliError::permanent(format!("{out}FAILED: {failure}")))
 }
 
 fn checkpoint(args: &Args) -> Result<String, CliError> {
@@ -1382,7 +1341,7 @@ mod tests {
 
     #[test]
     fn serve_chaos_reports_availability() {
-        let out = run(&[
+        let argv = [
             "serve-chaos",
             "--rows",
             "8",
@@ -1394,26 +1353,12 @@ mod tests {
             "8",
             "--spares",
             "4",
-        ])
-        .unwrap();
+        ];
+        let out = run(&argv).unwrap();
         assert!(out.contains("availability"), "{out}");
         assert!(out.contains("silent wrong"), "{out}");
         // Same seed → bit-identical report text.
-        let replay = run(&[
-            "serve-chaos",
-            "--rows",
-            "8",
-            "--stages",
-            "16",
-            "--batches",
-            "4",
-            "--batch",
-            "8",
-            "--spares",
-            "4",
-        ])
-        .unwrap();
-        assert_eq!(out, replay);
+        assert_eq!(out, run(&argv).unwrap());
     }
 
     #[test]

@@ -107,10 +107,8 @@ USAGE:
   tdam-sim faults  [--stages N] [--rows R] [--spares S] [--rate P] [--kind K]
                    [--trials T] [--queries Q] [--seed X] [--no-repair]
   tdam-sim bench-batch [--stages N] [--rows R] [--batch B] [--threads T] [--seed X]
-  tdam-sim serve-chaos [--stages N] [--rows R] [--spares S] [--batches B] [--batch Q]
-                   [--fault-rate P] [--panic-rate P] [--deadline-queries D] [--seed X]
-  tdam-sim mutate-chaos [--stages N] [--rows R] [--spares S] [--batches B] [--batch Q]
-                   [--writes W] [--fault-rate P] [--panic-rate P]
+  tdam-sim serve-chaos|mutate-chaos [--stages N] [--rows R] [--spares S] [--batches B]
+                   [--batch Q] [--writes W] [--fault-rate P] [--panic-rate P]
                    [--deadline-queries D] [--seed X]
   tdam-sim checkpoint --dir D [--stages N] [--rows R] [--spares S] [--mutations M] [--seed X]
   tdam-sim restore    --dir D
@@ -136,14 +134,15 @@ SUBCOMMANDS:
             (--kind: stuck-mismatch, stuck-match, stuck-mix, drift,
              stuck-column, broken-stage, tdc-miscount, sl-glitch)
   bench-batch  time batched parallel search vs a sequential query loop
-  serve-chaos  seeded chaos campaign against the fault-tolerant serving
-               runtime: injected cell faults + worker panics, reporting
-               availability and silent-wrong-answer counts
-  mutate-chaos seeded read/write chaos campaign: row rewrites churn the
-               array (incremental repack + epoch-swapped snapshots, wear
-               leveling) between served batches; every answer is judged
-               against an independently replayed reference, and the
-               command fails on any silent corruption (or any wrong
+  serve-chaos  seeded engine chaos campaign against the fault-tolerant
+               serving runtime: injected cell faults + worker panics,
+               reporting availability and silent-wrong-answer counts
+  mutate-chaos the read/write preset of the same campaign: row rewrites
+               (--writes per batch) churn the array (incremental repack
+               + epoch-swapped snapshots, wear leveling) between served
+               batches. Both presets judge every answer against an
+               independently replayed reference and take the same
+               flags; both fail on any silent corruption (or any wrong
                answer at all when --fault-rate is 0)
   checkpoint   program a seeded deployment and persist it under --dir:
                a CRC-checksummed snapshot plus a write-ahead journal of

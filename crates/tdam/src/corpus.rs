@@ -84,7 +84,7 @@ use crate::config::ArrayConfig;
 use crate::encoding::Encoding;
 use crate::engine::{SearchMetrics, SimilarityEngine};
 use crate::packed::{PackedArray, PackedKernel, PackedScratch};
-use crate::parallel::run_chunked_scratch;
+use crate::parallel::{run_chunked_scratch, splitmix};
 use crate::runtime::RuntimeStats;
 use crate::tdc::CounterTdc;
 use crate::timing::StageTiming;
@@ -95,16 +95,6 @@ use std::collections::HashMap;
 /// ranks its nearest `min(k, PREFERRED)` centroids and takes the first
 /// with spare capacity (overflow falls back to a linear scan).
 const PREFERRED: usize = 16;
-
-/// SplitMix64 — the repo-wide seeding primitive (identical constants to
-/// [`crate::sim`] and the packed tests).
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Snapshot capacity for a shard of `len` rows: the next multiple of 64
 /// (at least one). Quantizing keeps append headroom — a shard can grow

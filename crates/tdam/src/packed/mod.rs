@@ -965,11 +965,9 @@ mod tests {
         let mut state = seed | 1;
         let mut next = || {
             // SplitMix64 — deterministic row contents without rand.
+            let z = crate::parallel::splitmix(state);
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            z
         };
         for row in 0..rows {
             let values: Vec<u8> = (0..stages).map(|_| (next() % levels) as u8).collect();

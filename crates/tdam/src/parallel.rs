@@ -60,16 +60,22 @@ pub fn resolve_threads(items: usize, threads: Option<usize>) -> usize {
     threads.unwrap_or(available).max(1).min(items.max(1))
 }
 
-/// Mixes an item index into a base seed (SplitMix64-style finalizer), so
-/// every item owns an independent RNG stream derived only from
-/// `(base, index)` — never from which worker thread picked the item up.
-pub fn mix_seed(base: u64, index: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// SplitMix64: one hop of the reference generator — add the golden
+/// gamma, then finalize. The crate's one seeding primitive: corpus
+/// training, sim schedules, fault- and crash-campaign seeds and
+/// [`mix_seed`] all draw from it.
+pub(crate) fn splitmix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Mixes an item index into a base seed (SplitMix64 finalizer), so
+/// every item owns an independent RNG stream derived only from
+/// `(base, index)` — never from which worker thread picked the item up.
+pub fn mix_seed(base: u64, index: u64) -> u64 {
+    splitmix(base.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Runs `f(item)` for every item in `0..items` across scoped worker
@@ -264,6 +270,12 @@ mod tests {
         assert_eq!(resolve_threads(4, Some(0)), 1);
         assert_eq!(resolve_threads(0, Some(8)), 1);
         assert!(resolve_threads(1000, None) >= 1);
+    }
+
+    #[test]
+    fn splitmix_matches_the_reference_generator() {
+        // First output of reference SplitMix64 seeded with 0.
+        assert_eq!(splitmix(0), 0xE220_A839_7B1D_CDAF);
     }
 
     #[test]

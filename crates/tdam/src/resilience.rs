@@ -181,9 +181,10 @@ pub enum RowHealth {
 }
 
 /// Overall degradation level reported with every search result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum DegradationLevel {
     /// Every row healthy, no masked columns.
+    #[default]
     Nominal,
     /// Some rows were re-programmed in place.
     Repaired,
@@ -1344,11 +1345,9 @@ struct TrialStats {
 /// SplitMix64 over the campaign seed and grid coordinates: every trial
 /// gets an independent, reproducible stream.
 fn trial_seed(seed: u64, kind_idx: usize, rate_idx: usize, trial: usize) -> u64 {
-    let mut x = seed ^ ((kind_idx as u64) << 48) ^ ((rate_idx as u64) << 32) ^ (trial as u64);
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    crate::parallel::splitmix(
+        seed ^ ((kind_idx as u64) << 48) ^ ((rate_idx as u64) << 32) ^ (trial as u64),
+    )
 }
 
 /// Runs one seeded trial at a `(kind, rate)` grid point.

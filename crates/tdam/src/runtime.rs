@@ -30,11 +30,19 @@
 //!    exponential backoff; `Permanent` errors fail fast.
 //!
 //! [`Guarded`] provides the same slot-isolation contract for any
-//! [`SimilarityEngine`] (including the Table I baselines), and
-//! [`run_chaos`] drives a seeded chaos campaign — injected cell faults
-//! plus injected worker panics — measuring availability. Campaigns are
-//! bit-identical under a fixed seed when the deadline policy is
-//! deterministic (anything but [`DeadlinePolicy::WallClock`]).
+//! [`SimilarityEngine`] (including the Table I baselines): both wrappers
+//! run one private slot driver for the query budget, wall-clock
+//! horizon, transient retry and backoff, and differ only in how a round
+//! serves its pending slots (panic-isolated fan-out over the pinned
+//! snapshot vs. sequential `catch_unwind`).
+//!
+//! [`run_chaos`] drives the one seeded engine chaos campaign — optional
+//! row rewrites between batches, injected cell faults, injected worker
+//! panics — judging every answer against a shadow of the stored rows
+//! and measuring availability. [`ChaosConfig::paper_default`] is the
+//! read-only preset and [`ChaosConfig::mutation`] the read/write one.
+//! Campaigns are bit-identical under a fixed seed when the deadline
+//! policy is deterministic (anything but [`DeadlinePolicy::WallClock`]).
 //!
 //! # Examples
 //!
@@ -65,7 +73,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use crate::array::CompiledSnapshot;
-use crate::clock::Clock;
+use crate::clock::{Clock, Timestamp};
 use crate::config::ArrayConfig;
 use crate::engine::{BatchQuery, SearchMetrics, SimilarityEngine};
 use crate::parallel::{mix_seed, run_chunked_partial};
@@ -165,13 +173,14 @@ impl Default for RuntimeConfig {
 }
 
 /// Which backend along the fallback chain answered a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackendKind {
     /// The compiled fast path ([`crate::array::CompiledSnapshot`]),
     /// served through the bit-sliced packed kernel ([`crate::packed`]):
     /// decisions (winners, decoded distances) exactly match the
     /// behavioral model; reconstructed delays carry the documented ulp
     /// bound.
+    #[default]
     Packed,
     /// The full behavioral model — serving while the breaker is open on
     /// the compiled path (health miss pending repair).
@@ -500,7 +509,7 @@ pub struct ResilientEngine {
     pub(crate) clock: Clock,
     /// Virtual/wall instant of the last retention scrub (`None` until
     /// the first serve on a scrub-enabled config).
-    pub(crate) last_scrub: Option<crate::clock::Timestamp>,
+    pub(crate) last_scrub: Option<Timestamp>,
 }
 
 impl ResilientEngine {
@@ -869,97 +878,38 @@ impl ResilientEngine {
         if self.backend == BackendKind::Packed {
             self.ensure_snapshot();
         }
-        // Pin the current epoch for the whole batch (retries included):
-        // slots never observe a snapshot swap mid-flight.
-        let mut pinned = match self.backend {
-            BackendKind::Packed => self.epochs.acquire(),
-            _ => None,
-        };
-
+        let mut pinned = None;
+        let clock = self.clock.clone();
         let n = batch.len();
-        let started = self.clock.now();
-        let mut slots: Vec<Option<QueryOutcome>> = vec![None; n];
-        let mut retries = 0usize;
-
-        // Deadline: decide which slots run at all (QueryBudget), or set
-        // the wall-clock horizon checked before each slot starts.
-        let budget = match self.cfg.deadline {
-            DeadlinePolicy::QueryBudget(q) => q.min(n),
-            _ => n,
-        };
-        for slot in slots.iter_mut().skip(budget) {
-            *slot = Some(QueryOutcome::TimedOut);
-        }
-        let horizon = match self.cfg.deadline {
-            DeadlinePolicy::WallClock(d) => Some(d),
-            _ => None,
-        };
-
-        let mut pending: Vec<usize> = (0..budget).collect();
-        let mut attempt = 0usize;
-        while !pending.is_empty() {
-            let this = &*self;
-            let snap = pinned.as_deref();
-            let outcomes =
-                run_chunked_partial::<_, TdamError, _>(pending.len(), self.cfg.threads, |k| {
-                    if let Some(d) = horizon {
-                        if this.clock.elapsed(started) >= d {
-                            return Ok(None);
-                        }
+        let (slots, retries, backoff_waits) =
+            drive_slots(n, self.cfg, &clock, |pending, attempt, stale, horizon| {
+                // Pin the current epoch for the whole batch (retries
+                // included): slots never observe a snapshot swap
+                // mid-flight. A StaleCompile is the exception, transient
+                // *and actionable*: re-sync the snapshot and re-pin
+                // before retrying, otherwise every retry round would
+                // replay the same stale epoch and exhaust its budget for
+                // nothing.
+                if stale {
+                    self.ensure_snapshot();
+                }
+                if attempt == 0 || stale {
+                    pinned = match self.backend {
+                        BackendKind::Packed => self.epochs.acquire(),
+                        _ => None,
+                    };
+                }
+                let this = &*self;
+                let snap = pinned.as_deref();
+                run_chunked_partial(pending.len(), this.cfg.threads, |k| {
+                    if horizon.is_some_and(|h| this.clock.now() >= h) {
+                        return Ok(None);
                     }
-                    this.serve_slot(snap, batch, pending[k], attempt).map(Some)
-                });
-            let mut next = Vec::new();
-            let mut saw_stale = false;
-            for (k, outcome) in outcomes.into_iter().enumerate() {
-                let slot = pending[k];
-                slots[slot] = Some(match outcome {
-                    Ok(Some(out)) => QueryOutcome::Ok(out.metrics()),
-                    Ok(None) => QueryOutcome::TimedOut,
-                    Err(e) if e.is_transient() && attempt < self.cfg.retry.max_retries => {
-                        saw_stale |= matches!(e, TdamError::StaleCompile { .. });
-                        next.push(slot);
-                        retries += 1;
-                        continue;
-                    }
-                    Err(e) => QueryOutcome::Failed {
-                        class: e.class(),
-                        error: e,
-                    },
-                });
-            }
-            if next.is_empty() {
-                break;
-            }
-            // A StaleCompile is transient *and actionable*: re-sync the
-            // snapshot and re-pin before retrying, otherwise every
-            // retry round would replay the same stale epoch and exhaust
-            // its budget for nothing.
-            if saw_stale {
-                self.ensure_snapshot();
-                pinned = match self.backend {
-                    BackendKind::Packed => self.epochs.acquire(),
-                    _ => None,
-                };
-            }
-            let backoff = self.cfg.retry.backoff_for(attempt);
-            if !backoff.is_zero() {
-                self.stats.backoff_waits += 1;
-                self.clock.sleep(backoff);
-            }
-            pending = next;
-            attempt += 1;
-        }
-
-        let slots: Vec<QueryOutcome> = slots
-            .into_iter()
-            .map(|s| {
-                s.unwrap_or(QueryOutcome::Failed {
-                    error: TdamError::Worker,
-                    class: ErrorClass::Transient,
+                    this.serve_slot(snap, batch, pending[k], attempt)
+                        .map(|out| Some(out.metrics()))
                 })
-            })
-            .collect();
+            });
+        self.stats.backoff_waits += backoff_waits;
         let outcome = BatchOutcome {
             degradation: self.array.degradation().level,
             backend: self.backend,
@@ -1025,6 +975,9 @@ impl SimilarityEngine for ResilientEngine {
 /// Queries run sequentially (the trait's `search` takes `&mut self`),
 /// each wrapped in `catch_unwind` so a panicking query yields a
 /// [`QueryOutcome::Failed`] slot instead of unwinding out of the batch.
+/// Deadlines and retries follow [`ResilientEngine::serve`] exactly: the
+/// two share one slot driver, so retries run in rounds over the failed
+/// slots.
 /// A panicked engine is assumed to remain structurally usable (its state
 /// is plain data, not lock-guarded); the panic is still surfaced in the
 /// slot.
@@ -1072,51 +1025,22 @@ impl<E: SimilarityEngine> Guarded<E> {
     pub fn serve(&mut self, batch: &BatchQuery) -> BatchOutcome {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        let n = batch.len();
-        let started = self.clock.now();
-        let budget = match self.cfg.deadline {
-            DeadlinePolicy::QueryBudget(q) => q.min(n),
-            _ => n,
-        };
-        let mut retries = 0usize;
-        let mut slots = Vec::with_capacity(n);
-        for slot in 0..n {
-            if slot >= budget {
-                slots.push(QueryOutcome::TimedOut);
-                continue;
-            }
-            if let DeadlinePolicy::WallClock(d) = self.cfg.deadline {
-                if self.clock.elapsed(started) >= d {
-                    slots.push(QueryOutcome::TimedOut);
-                    continue;
-                }
-            }
-            let mut attempt = 0usize;
-            let outcome = loop {
-                let engine = &mut self.engine;
-                let query = batch.get(slot);
-                let result = catch_unwind(AssertUnwindSafe(|| engine.search(query)))
-                    .unwrap_or(Err(TdamError::Worker));
-                match result {
-                    Ok(m) => break QueryOutcome::Ok(m),
-                    Err(e) if e.is_transient() && attempt < self.cfg.retry.max_retries => {
-                        retries += 1;
-                        let backoff = self.cfg.retry.backoff_for(attempt);
-                        if !backoff.is_zero() {
-                            self.clock.sleep(backoff);
+        let (engine, clock) = (&mut self.engine, &self.clock);
+        let (slots, retries, _) =
+            drive_slots(batch.len(), self.cfg, clock, |pending, _, _, horizon| {
+                pending
+                    .iter()
+                    .map(|&slot| {
+                        if horizon.is_some_and(|h| clock.now() >= h) {
+                            return Ok(None);
                         }
-                        attempt += 1;
-                    }
-                    Err(e) => {
-                        break QueryOutcome::Failed {
-                            class: e.class(),
-                            error: e,
-                        }
-                    }
-                }
-            };
-            slots.push(outcome);
-        }
+                        let query = batch.get(slot);
+                        catch_unwind(AssertUnwindSafe(|| engine.search(query)))
+                            .unwrap_or(Err(TdamError::Worker))
+                            .map(Some)
+                    })
+                    .collect()
+            });
         BatchOutcome {
             slots,
             backend: BackendKind::Behavioral,
@@ -1126,12 +1050,96 @@ impl<E: SimilarityEngine> Guarded<E> {
     }
 }
 
-/// Configuration of a seeded chaos campaign ([`run_chaos`]).
+/// One slot's result from one retry round: the answer, `None` when the
+/// wall-clock horizon passed before the slot started, or the error.
+type SlotResult = Result<Option<SearchMetrics>, TdamError>;
+
+/// The per-batch slot driver behind [`ResilientEngine::serve`] and
+/// [`Guarded::serve`]: under `cfg`'s deadline and retry policy, expires
+/// the slots past a [`DeadlinePolicy::QueryBudget`], runs retry rounds
+/// over the pending slots, retries [`ErrorClass::Transient`] failures
+/// with backoff on `clock`, and assembles one [`QueryOutcome`] per slot.
+///
+/// `round(pending, attempt, stale, horizon)` serves each pending slot
+/// once and returns one result per pending slot, in order: `Ok(None)`
+/// for a slot that found the [`DeadlinePolicy::WallClock`] `horizon`
+/// passed before it started. `stale` is set when the previous round saw
+/// a [`TdamError::StaleCompile`], so the round can re-sync first.
+///
+/// Returns the slots, the retries spent and the backoff sleeps taken.
+fn drive_slots<R>(
+    n: usize,
+    cfg: RuntimeConfig,
+    clock: &Clock,
+    mut round: R,
+) -> (Vec<QueryOutcome>, usize, usize)
+where
+    R: FnMut(&[usize], usize, bool, Option<Timestamp>) -> Vec<SlotResult>,
+{
+    let horizon = match cfg.deadline {
+        DeadlinePolicy::WallClock(d) => Some(clock.now().after(d)),
+        _ => None,
+    };
+    let budget = match cfg.deadline {
+        DeadlinePolicy::QueryBudget(q) => q.min(n),
+        _ => n,
+    };
+    // A slot whose round result never arrives reads as a lost worker.
+    let lost = QueryOutcome::Failed {
+        error: TdamError::Worker,
+        class: ErrorClass::Transient,
+    };
+    let mut slots = Vec::with_capacity(n);
+    slots.resize(budget, lost);
+    slots.resize(n, QueryOutcome::TimedOut);
+
+    let mut pending: Vec<usize> = (0..budget).collect();
+    let (mut attempt, mut retries, mut backoff_waits) = (0usize, 0usize, 0usize);
+    let mut stale = false;
+    while !pending.is_empty() {
+        let results = round(&pending, attempt, stale, horizon);
+        let mut next = Vec::new();
+        stale = false;
+        for (&slot, result) in pending.iter().zip(results) {
+            slots[slot] = match result {
+                Ok(Some(metrics)) => QueryOutcome::Ok(metrics),
+                Ok(None) => QueryOutcome::TimedOut,
+                Err(e) if e.is_transient() && attempt < cfg.retry.max_retries => {
+                    stale |= matches!(e, TdamError::StaleCompile { .. });
+                    next.push(slot);
+                    retries += 1;
+                    continue;
+                }
+                Err(e) => QueryOutcome::Failed {
+                    class: e.class(),
+                    error: e,
+                },
+            };
+        }
+        if next.is_empty() {
+            break;
+        }
+        let backoff = cfg.retry.backoff_for(attempt);
+        if !backoff.is_zero() {
+            backoff_waits += 1;
+            clock.sleep(backoff);
+        }
+        pending = next;
+        attempt += 1;
+    }
+    (slots, retries, backoff_waits)
+}
+
+/// Configuration of a seeded chaos campaign ([`run_chaos`]). Two
+/// presets: [`ChaosConfig::paper_default`] (cell faults plus worker
+/// panics on a read-only array) and [`ChaosConfig::mutation`] (the same
+/// campaign with row rewrites churning the array between batches).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Geometry of the *data* array (rows = logical data rows).
     pub array: ArrayConfig,
-    /// Resilience machinery wrapped around it.
+    /// Resilience machinery wrapped around it, including the
+    /// [`WearPolicy`] a write mix exercises.
     pub resilience: ResilienceConfig,
     /// Serving runtime configuration. For bit-identical replay the
     /// deadline must not be [`DeadlinePolicy::WallClock`] and the retry
@@ -1141,8 +1149,13 @@ pub struct ChaosConfig {
     pub batches: usize,
     /// Queries per batch.
     pub batch_size: usize,
+    /// Random row rewrites through the tracked, wear-leveled write path
+    /// before each served batch (0 = a read-only campaign).
+    pub writes_per_batch: usize,
     /// Target cumulative fraction of cells hit by a persistent fault over
-    /// the whole campaign (spread uniformly across batches).
+    /// the whole campaign (spread uniformly across batches). 0 makes the
+    /// judge require zero wrong answers outright, not merely zero
+    /// unflagged ones.
     pub fault_rate: f64,
     /// Per-(slot, attempt) injected worker-panic probability.
     pub panic_rate: f64,
@@ -1170,16 +1183,48 @@ impl ChaosConfig {
             },
             batches: 24,
             batch_size: 32,
+            writes_per_batch: 0,
             fault_rate: 0.01,
             panic_rate: 0.02,
             seed: 0xC4A0_2024,
         }
     }
+
+    /// The read/write acceptance campaign: 1280 query slots (≥ 1000
+    /// seeded scenarios) served while 160 row rewrites churn a 16-row,
+    /// 32-stage array under the aggressive wear policy — rotations and
+    /// refresh-rewrites both fire. No cell faults: every answer must be
+    /// *correct*, not merely flagged.
+    pub fn mutation() -> Self {
+        let base = Self::paper_default();
+        Self {
+            resilience: ResilienceConfig {
+                wear: WearPolicy::aggressive(),
+                ..base.resilience
+            },
+            batches: 40,
+            writes_per_batch: 4,
+            fault_rate: 0.0,
+            panic_rate: 0.01,
+            seed: 0x4D55_5441,
+            ..base
+        }
+    }
+
+    /// Sets the cumulative cell-fault rate. Wrong-but-flagged answers
+    /// become tolerable (graceful degradation); silent corruption never
+    /// is.
+    pub fn with_faults(mut self, fault_rate: f64) -> Self {
+        self.fault_rate = fault_rate;
+        self
+    }
 }
 
 /// Results of a chaos campaign. Integer-only accounting, so equality is
-/// exact: two runs with the same seed must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// exact: two runs with the same seed must compare equal. The write
+/// counters (`user_writes`, `physical_writes`, `wear_rotations`,
+/// `refresh_rewrites`) live in `stats`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Query slots served across the campaign.
     pub total_queries: usize,
@@ -1189,7 +1234,8 @@ pub struct ChaosReport {
     pub timed_out: usize,
     /// Slots failed after retries.
     pub failed: usize,
-    /// Answered slots whose best row was not a true nearest row.
+    /// Answered slots whose best row was not a true nearest row of the
+    /// shadow reference.
     pub wrong: usize,
     /// Wrong answers delivered while the outcome claimed
     /// [`DegradationLevel::Nominal`] — the forbidden case.
@@ -1214,17 +1260,34 @@ impl ChaosReport {
         }
         self.answered as f64 / self.total_queries as f64
     }
+
+    /// Physical programs per accepted logical write (1.0 = the wear
+    /// leveler added no overhead).
+    pub fn write_amplification(&self) -> f64 {
+        if self.stats.user_writes == 0 {
+            return 1.0;
+        }
+        self.stats.physical_writes as f64 / self.stats.user_writes as f64
+    }
 }
 
 /// Runs a seeded chaos campaign: random data rows, exact-match queries,
-/// persistent cell faults drip-fed across batches at `fault_rate`
-/// cumulative coverage, and injected worker panics at `panic_rate` —
-/// measuring how much of the traffic the runtime keeps answering and
-/// whether any wrong answer escaped unflagged.
+/// `writes_per_batch` random row rewrites through the tracked,
+/// wear-leveled write path before each batch (so each batch crosses an
+/// incremental repack and epoch swap), persistent cell faults drip-fed
+/// across batches at `fault_rate` cumulative coverage, and injected
+/// worker panics at `panic_rate` — measuring how much of the traffic
+/// the runtime keeps answering and whether any wrong answer escaped
+/// unflagged.
+///
+/// Every accepted write is mirrored into a **shadow reference** (a
+/// plain `Vec<Vec<u8>>` of the logical rows), and ground truth for each
+/// query is recomputed from that shadow — never from the engine under
+/// test.
 ///
 /// Bit-identical for a fixed seed (given a deterministic deadline policy
-/// and zero backoff): faults, queries, and panics all derive from the
-/// seed, and serving results are thread-count-invariant.
+/// and zero backoff): writes, faults, queries, and panics all derive
+/// from the seed, and serving results are thread-count-invariant.
 ///
 /// # Errors
 ///
@@ -1248,27 +1311,20 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, TdamError> {
     }
 
     let physical_rows = data_rows + cfg.resilience.spare_rows + cfg.resilience.reference_rows;
-    let per_batch_rate = if cfg.batches > 0 {
-        (cfg.fault_rate / cfg.batches as f64).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
+    let per_batch_rate = (cfg.fault_rate / cfg.batches.max(1) as f64).clamp(0.0, 1.0);
 
-    let mut report = ChaosReport {
-        total_queries: 0,
-        answered: 0,
-        timed_out: 0,
-        failed: 0,
-        wrong: 0,
-        silent_wrong: 0,
-        degraded_answers: 0,
-        faults_injected: 0,
-        final_backend: engine.backend(),
-        final_degradation: DegradationLevel::Nominal,
-        stats: RuntimeStats::default(),
-    };
+    let mut report = ChaosReport::default();
 
     for _ in 0..cfg.batches {
+        // Live mutation: rewrite random rows through the tracked path,
+        // mirroring each accepted write into the shadow reference.
+        for _ in 0..cfg.writes_per_batch {
+            let row = rng.gen_range(0..data_rows);
+            let values: Vec<u8> = (0..stages).map(|_| rng.gen_range(0..levels)).collect();
+            engine.store(row, &values)?;
+            data[row] = values;
+        }
+
         // Drip-feed persistent faults so the health probes have something
         // to catch mid-campaign, not just at t=0.
         if per_batch_rate > 0.0 {
@@ -1313,268 +1369,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, TdamError> {
             if flagged {
                 report.degraded_answers += 1;
             }
-            // Ground truth over the *stored* data: the query is an exact
-            // copy of its target row, so any true nearest row is correct.
-            let query = &data[targets[slot]];
-            let truth: Vec<usize> = data
-                .iter()
-                .map(|row| row.iter().zip(query).filter(|(a, b)| a != b).count())
-                .collect();
-            let min_truth = *truth.iter().min().unwrap_or(&0);
-            let correct = metrics.best_row.is_some_and(|r| truth[r] == min_truth);
-            if !correct {
-                report.wrong += 1;
-                if !flagged {
-                    report.silent_wrong += 1;
-                }
-            }
-        }
-        report.final_backend = outcome.backend;
-        report.final_degradation = outcome.degradation;
-    }
-    report.stats = *engine.stats();
-    Ok(report)
-}
-
-/// Configuration of a sustained read/write chaos campaign
-/// ([`run_mutation_chaos`]): continuous row rewrites through the
-/// tracked, wear-leveled write path under live query traffic, with
-/// optional persistent cell faults and injected worker panics on top.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MutationChaosConfig {
-    /// Geometry of the *data* array (rows = logical data rows).
-    pub array: ArrayConfig,
-    /// Resilience machinery, including the [`WearPolicy`] the write mix
-    /// exercises.
-    pub resilience: ResilienceConfig,
-    /// Serving runtime configuration. For bit-identical replay the
-    /// deadline must not be [`DeadlinePolicy::WallClock`] and the retry
-    /// backoff should be zero.
-    pub runtime: RuntimeConfig,
-    /// Batches to serve.
-    pub batches: usize,
-    /// Queries per batch.
-    pub batch_size: usize,
-    /// Random row rewrites applied before each served batch.
-    pub writes_per_batch: usize,
-    /// Target cumulative fraction of cells hit by a persistent fault
-    /// over the whole campaign. 0 makes this a *pure-mutation*
-    /// campaign, and the judge then requires zero wrong answers
-    /// outright — not merely zero unflagged ones.
-    pub fault_rate: f64,
-    /// Per-(slot, attempt) injected worker-panic probability.
-    pub panic_rate: f64,
-    /// Campaign seed.
-    pub seed: u64,
-}
-
-impl MutationChaosConfig {
-    /// The acceptance-criteria campaign: 1280 query slots (≥ 1000
-    /// seeded scenarios) served while 160 row rewrites churn a 16-row,
-    /// 32-stage array under the aggressive wear policy — rotations and
-    /// refresh-rewrites both fire. No cell faults: every answer must be
-    /// *correct*, not merely flagged.
-    pub fn paper_default() -> Self {
-        Self {
-            array: ArrayConfig::paper_default().with_stages(32).with_rows(16),
-            resilience: ResilienceConfig {
-                spare_rows: 8,
-                wear: WearPolicy::aggressive(),
-                ..ResilienceConfig::default()
-            },
-            runtime: RuntimeConfig {
-                retry: RetryConfig {
-                    max_retries: 3,
-                    backoff: Duration::ZERO,
-                    backoff_cap: Duration::ZERO,
-                },
-                ..RuntimeConfig::default()
-            },
-            batches: 40,
-            batch_size: 32,
-            writes_per_batch: 4,
-            fault_rate: 0.0,
-            panic_rate: 0.01,
-            seed: 0x4D55_5441,
-        }
-    }
-
-    /// Layers persistent cell faults on top of the write mix.
-    /// Wrong-but-flagged answers become tolerable (graceful
-    /// degradation); silent corruption never is.
-    pub fn with_faults(mut self, fault_rate: f64) -> Self {
-        self.fault_rate = fault_rate;
-        self
-    }
-}
-
-/// Results of a mutation-chaos campaign. Integer-only accounting:
-/// two runs with the same seed must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MutationChaosReport {
-    /// Query slots served across the campaign.
-    pub total_queries: usize,
-    /// Slots answered (possibly degraded).
-    pub answered: usize,
-    /// Slots expired by deadlines.
-    pub timed_out: usize,
-    /// Slots failed after retries.
-    pub failed: usize,
-    /// Answered slots whose best row was not a true nearest row of the
-    /// independently replayed reference.
-    pub wrong: usize,
-    /// Wrong answers delivered while the outcome claimed
-    /// [`DegradationLevel::Nominal`] — the forbidden case.
-    pub silent_wrong: usize,
-    /// Answered slots flagged with any non-nominal degradation.
-    pub degraded_answers: usize,
-    /// Logical row rewrites accepted (initial population included).
-    pub user_writes: usize,
-    /// Physical row programs those writes cost.
-    pub physical_writes: usize,
-    /// Wear-leveling rotations onto spare rows.
-    pub wear_rotations: usize,
-    /// Disturb-budget refresh-rewrites.
-    pub refresh_rewrites: usize,
-    /// Persistent cell faults injected.
-    pub faults_injected: usize,
-    /// Backend of the final batch.
-    pub final_backend: BackendKind,
-    /// Degradation level after the final batch.
-    pub final_degradation: DegradationLevel,
-    /// Runtime statistics.
-    pub stats: RuntimeStats,
-}
-
-impl MutationChaosReport {
-    /// Fraction of slots answered.
-    pub fn availability(&self) -> f64 {
-        if self.total_queries == 0 {
-            return 1.0;
-        }
-        self.answered as f64 / self.total_queries as f64
-    }
-
-    /// Physical programs per accepted logical write (1.0 = the wear
-    /// leveler added no overhead).
-    pub fn write_amplification(&self) -> f64 {
-        if self.user_writes == 0 {
-            return 1.0;
-        }
-        self.physical_writes as f64 / self.user_writes as f64
-    }
-}
-
-/// Runs a sustained read/write chaos campaign: random row rewrites flow
-/// through the tracked, wear-leveled write path *between* served
-/// batches, so every batch exercises the incremental repack + epoch
-/// swap; optional cell faults and worker panics ride on top.
-///
-/// Every accepted write is mirrored into an **independently replayed
-/// reference** (a plain `Vec<Vec<u8>>` shadow of the logical rows), and
-/// ground truth for each query is recomputed from that shadow — never
-/// from the engine under test. A pure-mutation campaign
-/// (`fault_rate == 0`) must answer every slot correctly; a faulted one
-/// must never deliver a wrong answer unflagged.
-///
-/// Bit-identical for a fixed seed (given a deterministic deadline
-/// policy and zero backoff), and thread-count invariant.
-///
-/// # Errors
-///
-/// Propagates configuration errors and health/repair machinery
-/// failures.
-pub fn run_mutation_chaos(cfg: &MutationChaosConfig) -> Result<MutationChaosReport, TdamError> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let array = ResilientArray::new(cfg.array, cfg.resilience)?;
-    let mut engine = ResilientEngine::wrap(array, cfg.runtime).with_chaos(ChaosInjection {
-        seed: mix_seed(cfg.seed, 0x77C4),
-        panic_rate: cfg.panic_rate,
-    });
-
-    let data_rows = cfg.array.rows;
-    let stages = cfg.array.stages;
-    let levels = cfg.array.encoding.levels();
-    let mut data = Vec::with_capacity(data_rows);
-    for row in 0..data_rows {
-        let values: Vec<u8> = (0..stages).map(|_| rng.gen_range(0..levels)).collect();
-        engine.store(row, &values)?;
-        data.push(values);
-    }
-
-    let physical_rows = data_rows + cfg.resilience.spare_rows + cfg.resilience.reference_rows;
-    let per_batch_rate = if cfg.batches > 0 {
-        (cfg.fault_rate / cfg.batches as f64).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-
-    let mut report = MutationChaosReport {
-        total_queries: 0,
-        answered: 0,
-        timed_out: 0,
-        failed: 0,
-        wrong: 0,
-        silent_wrong: 0,
-        degraded_answers: 0,
-        user_writes: 0,
-        physical_writes: 0,
-        wear_rotations: 0,
-        refresh_rewrites: 0,
-        faults_injected: 0,
-        final_backend: engine.backend(),
-        final_degradation: DegradationLevel::Nominal,
-        stats: RuntimeStats::default(),
-    };
-
-    for _ in 0..cfg.batches {
-        // Live mutation: rewrite random rows through the tracked path,
-        // mirroring each accepted write into the shadow reference.
-        for _ in 0..cfg.writes_per_batch {
-            let row = rng.gen_range(0..data_rows);
-            let values: Vec<u8> = (0..stages).map(|_| rng.gen_range(0..levels)).collect();
-            engine.store(row, &values)?;
-            data[row] = values;
-        }
-
-        if per_batch_rate > 0.0 {
-            for row in 0..physical_rows {
-                for stage in 0..stages {
-                    if rng.gen_bool(per_batch_rate) {
-                        let kind = if rng.gen_bool(0.5) {
-                            crate::faults::FaultKind::StuckMismatch
-                        } else {
-                            crate::faults::FaultKind::StuckMatch
-                        };
-                        engine.array_mut().inject(row, stage, kind)?;
-                        report.faults_injected += 1;
-                    }
-                }
-            }
-        }
-
-        let mut batch = BatchQuery::new(stages);
-        let mut targets = Vec::with_capacity(cfg.batch_size);
-        for _ in 0..cfg.batch_size {
-            let target = rng.gen_range(0..data_rows);
-            batch.push(&data[target])?;
-            targets.push(target);
-        }
-
-        let outcome = engine.serve(&batch)?;
-        report.total_queries += outcome.slots.len();
-        report.answered += outcome.answered();
-        report.timed_out += outcome.timed_out();
-        report.failed += outcome.failed();
-        let flagged = outcome.degradation != DegradationLevel::Nominal
-            || outcome.backend == BackendKind::DegradedMasked;
-        for (slot, q) in outcome.slots.iter().enumerate() {
-            let QueryOutcome::Ok(metrics) = q else {
-                continue;
-            };
-            if flagged {
-                report.degraded_answers += 1;
-            }
             // Ground truth over the shadow: the query is an exact copy
             // of its target row *as of this batch*, so any true nearest
             // row of the current shadow contents is correct.
@@ -1595,12 +1389,7 @@ pub fn run_mutation_chaos(cfg: &MutationChaosConfig) -> Result<MutationChaosRepo
         report.final_backend = outcome.backend;
         report.final_degradation = outcome.degradation;
     }
-    let stats = *engine.stats();
-    report.user_writes = stats.user_writes;
-    report.physical_writes = stats.physical_writes;
-    report.wear_rotations = stats.wear_rotations;
-    report.refresh_rewrites = stats.refresh_rewrites;
-    report.stats = stats;
+    report.stats = *engine.stats();
     Ok(report)
 }
 
@@ -1938,16 +1727,16 @@ mod tests {
 
     #[test]
     fn mutation_chaos_replays_bit_identically_with_zero_wrong() {
-        let mut cfg = MutationChaosConfig::paper_default();
+        let mut cfg = ChaosConfig::mutation();
         cfg.batches = 6;
         cfg.batch_size = 8;
         cfg.runtime.threads = Some(2);
-        let a = run_mutation_chaos(&cfg).unwrap();
-        let b = run_mutation_chaos(&cfg).unwrap();
+        let a = run_chaos(&cfg).unwrap();
+        let b = run_chaos(&cfg).unwrap();
         assert_eq!(a, b, "mutation chaos must replay bit-identically");
         assert_eq!(a.wrong, 0, "pure-mutation campaign must be correct");
         assert_eq!(a.silent_wrong, 0);
-        assert_eq!(a.user_writes, 16 + 6 * 4);
+        assert_eq!(a.stats.user_writes, 16 + 6 * 4);
         assert!(
             a.stats.incremental_repacks > 0,
             "tracked writes must refresh surgically, got {:?}",
@@ -1957,16 +1746,16 @@ mod tests {
         // Thread-count invariance.
         let mut cfg_threads = cfg.clone();
         cfg_threads.runtime.threads = Some(1);
-        assert_eq!(run_mutation_chaos(&cfg_threads).unwrap(), a);
+        assert_eq!(run_chaos(&cfg_threads).unwrap(), a);
     }
 
     #[test]
     fn faulted_mutation_chaos_never_corrupts_silently() {
-        let mut cfg = MutationChaosConfig::paper_default().with_faults(0.01);
+        let mut cfg = ChaosConfig::mutation().with_faults(0.01);
         cfg.batches = 6;
         cfg.batch_size = 8;
         cfg.runtime.threads = Some(2);
-        let report = run_mutation_chaos(&cfg).unwrap();
+        let report = run_chaos(&cfg).unwrap();
         assert_eq!(report.silent_wrong, 0, "report: {report:?}");
         assert!(report.faults_injected > 0, "1% must inject something");
     }
@@ -2179,6 +1968,36 @@ mod tests {
     }
 
     #[test]
+    fn guarded_and_resilient_engine_share_one_slot_contract() {
+        let rt = RuntimeConfig {
+            deadline: DeadlinePolicy::QueryBudget(3),
+            retry: zero_retry_backoff(),
+            threads: Some(2),
+            ..RuntimeConfig::default()
+        };
+        let cfg = ArrayConfig::paper_default().with_rows(4).with_stages(16);
+        let mut eng = ResilientEngine::new(cfg, ResilienceConfig::default(), rt).unwrap();
+        let mut guarded = Guarded::new(crate::array::TdamArray::new(cfg).unwrap(), rt);
+        for r in 0..4 {
+            eng.store(r, &ramp(16, r)).unwrap();
+            guarded.engine_mut().store(r, &ramp(16, r)).unwrap();
+        }
+        let batch = ramp_batch(16, 6);
+        let resilient = eng.serve(&batch).unwrap();
+        let wrapped = guarded.serve(&batch);
+        let pattern =
+            |o: &BatchOutcome| -> Vec<bool> { o.slots.iter().map(QueryOutcome::is_ok).collect() };
+        assert_eq!(
+            pattern(&resilient),
+            vec![true, true, true, false, false, false]
+        );
+        assert_eq!(pattern(&wrapped), pattern(&resilient));
+        assert_eq!(wrapped.timed_out(), 3);
+        assert_eq!(wrapped.best_rows(), resilient.best_rows());
+        assert_eq!(resilient.best_rows()[..3], [Some(0), Some(1), Some(2)]);
+    }
+
+    #[test]
     fn chaos_campaign_replays_bit_identically() {
         let cfg = ChaosConfig {
             array: ArrayConfig::paper_default().with_stages(16).with_rows(4),
@@ -2193,9 +2012,9 @@ mod tests {
             },
             batches: 4,
             batch_size: 8,
-            fault_rate: 0.01,
             panic_rate: 0.05,
             seed: 99,
+            ..ChaosConfig::paper_default()
         };
         let a = run_chaos(&cfg).unwrap();
         let b = run_chaos(&cfg).unwrap();

@@ -2334,7 +2334,7 @@ impl ServeChaosConfig {
 }
 
 /// Per-phase campaign accounting, judged against brute force.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseReport {
     /// Phase name (`steady`, `overload`, `slow-shard`, `crash`,
     /// `recovered`).
@@ -2398,6 +2398,9 @@ impl ServeChaosReport {
     }
 }
 
+/// One client's accounting for a phase. Every request lands in exactly
+/// one of `answered`, `shed_queue`, `shed_deadline` or `errors`.
+#[derive(Default)]
 struct ClientTally {
     answered: usize,
     partial: usize,
@@ -2411,7 +2414,9 @@ struct ClientTally {
 }
 
 /// One closed-loop client: seeded query stream, every complete answer
-/// judged bit-for-bit against brute force over the full corpus.
+/// judged bit-for-bit against brute force over the full corpus. A
+/// failed (re)connect ends the client: the requests it can no longer
+/// send count as errors, and the tally so far is kept.
 fn run_client(
     addr: SocketAddr,
     corpus: &[Vec<u8>],
@@ -2420,36 +2425,36 @@ fn run_client(
     k: usize,
     requests: usize,
     deadline: Duration,
-) -> Result<ClientTally, ServeError> {
+) -> ClientTally {
     let mut rng = StdRng::seed_from_u64(seed);
     let clock = Clock::wall();
-    let mut client = ServeClient::connect(addr)?;
     let stages = corpus.first().map_or(0, Vec::len);
     let levels = encoding.levels();
     let mut tally = ClientTally {
-        answered: 0,
-        partial: 0,
-        degraded: 0,
-        shed_queue: 0,
-        shed_deadline: 0,
-        errors: 0,
-        flagged_mismatch: 0,
-        silent_wrong: 0,
         latencies_us: Vec::with_capacity(requests),
+        ..ClientTally::default()
     };
-    for _ in 0..requests {
+    let mut client = None;
+    for sent in 0..requests {
         // Queries orbit stored rows: take one, perturb a few elements.
         let mut query = corpus[rng.gen_range(0..corpus.len())].clone();
         for _ in 0..rng.gen_range(0..4usize) {
             let at = rng.gen_range(0..stages);
             query[at] = rng.gen_range(0..levels);
         }
-        let sent = clock.now();
-        match client.query(&query, k, deadline) {
+        if client.is_none() {
+            client = ServeClient::connect(addr).ok();
+        }
+        let Some(conn) = client.as_mut() else {
+            tally.errors += requests - sent;
+            break;
+        };
+        let started = clock.now();
+        match conn.query(&query, k, deadline) {
             Ok(topk) => {
                 tally
                     .latencies_us
-                    .push(clock.elapsed(sent).as_micros() as u64);
+                    .push(clock.elapsed(started).as_micros() as u64);
                 tally.answered += 1;
                 if topk.partial {
                     tally.partial += 1;
@@ -2457,9 +2462,10 @@ fn run_client(
                 if topk.degraded {
                     tally.degraded += 1;
                 }
-                let expected =
-                    brute_force_topk(corpus, encoding, &query, k).map_err(ServeError::Sim)?;
-                if topk.neighbors != expected {
+                // A judge that cannot compute the truth cannot vouch for
+                // the answer: count it as a mismatch.
+                let expected = brute_force_topk(corpus, encoding, &query, k).ok();
+                if expected.as_ref() != Some(&topk.neighbors) {
                     if topk.complete() {
                         tally.silent_wrong += 1;
                     } else {
@@ -2470,14 +2476,15 @@ fn run_client(
             Err(ServeError::Overloaded(ShedReason::QueueFull)) => tally.shed_queue += 1,
             Err(ServeError::Overloaded(ShedReason::DeadlineExpired)) => tally.shed_deadline += 1,
             Err(ServeError::Io(_)) | Err(ServeError::Protocol(_)) => {
-                // Transport loss: reconnect and keep the campaign going.
+                // Transport loss: reconnect before the next request and
+                // keep the campaign going.
                 tally.errors += 1;
-                client = ServeClient::connect(addr)?;
+                client = None;
             }
             Err(_) => tally.errors += 1,
         }
     }
-    Ok(tally)
+    tally
 }
 
 /// Runs one phase of closed-loop load and folds the client tallies.
@@ -2512,9 +2519,15 @@ fn run_phase(
                 })
             })
             .collect();
+        // A panicked client's requests all count as errors.
         handles
             .into_iter()
-            .filter_map(|h| h.join().ok().and_then(Result::ok))
+            .map(|h| {
+                h.join().unwrap_or_else(|_| ClientTally {
+                    errors: requests_per_client,
+                    ..ClientTally::default()
+                })
+            })
             .collect()
     });
     let elapsed = clock.elapsed(started);
@@ -2523,17 +2536,7 @@ fn run_phase(
     let mut report = PhaseReport {
         name: name.to_string(),
         requests,
-        answered: 0,
-        partial: 0,
-        degraded: 0,
-        shed_queue: 0,
-        shed_deadline: 0,
-        errors: 0,
-        flagged_mismatch: 0,
-        silent_wrong: 0,
-        p50_us: 0,
-        p99_us: 0,
-        qps: 0,
+        ..PhaseReport::default()
     };
     for t in tallies {
         report.answered += t.answered;
@@ -2938,5 +2941,34 @@ mod tests {
         assert!(a.iter().all(|row| row.iter().all(|&x| x < 4)));
         let c = seeded_corpus(10, 8, 4, 100);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn a_phase_against_no_listener_counts_every_request_as_an_error() {
+        // Bind then drop: the loopback port has no listener, so every
+        // client's connect is refused.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("loopback port");
+        let corpus = Arc::new(seeded_corpus(8, 8, 4, 1));
+        let encoding = Encoding::new(2).expect("encoding");
+        let phase = run_phase(
+            "refused",
+            addr,
+            &corpus,
+            encoding,
+            3,
+            2,
+            3,
+            4,
+            Duration::from_millis(50),
+        );
+        assert_eq!(phase.requests, 12);
+        assert_eq!(phase.answered, 0);
+        assert_eq!(phase.errors, phase.requests, "{phase:?}");
+        assert_eq!(
+            phase.answered + phase.shed_queue + phase.shed_deadline + phase.errors,
+            phase.requests
+        );
     }
 }

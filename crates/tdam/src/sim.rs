@@ -47,6 +47,7 @@ use crate::clock::{Clock, SimClock};
 use crate::config::ArrayConfig;
 use crate::corpus::{CorpusBuilder, CorpusConfig, CorpusEngine};
 use crate::encoding::Encoding;
+use crate::parallel::splitmix;
 use crate::runtime::{DeadlinePolicy, RuntimeConfig};
 use crate::serve::{
     brute_force_topk, read_frame, write_frame, InfoReply, Reply, Request, ServeConfig, ServeError,
@@ -58,14 +59,6 @@ use tdam_fefet::retention::{Lifetime, RetentionParams};
 // ---------------------------------------------------------------------------
 // Seeded randomness
 // ---------------------------------------------------------------------------
-
-/// SplitMix64 finalizer: one 64-bit hop of the schedule/query streams.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Minimal deterministic RNG (SplitMix64 stream) for schedule drawing.
 #[derive(Debug, Clone)]

@@ -29,10 +29,13 @@
 //!   packed path.
 //! - **Crash chaos** — [`run_crash_chaos`] replays thousands of seeded
 //!   kill/corruption scenarios (a simulated kill at *every byte
-//!   boundary* of the commit sequence, bit flips, truncations) and
-//!   cross-checks each recovery against an independently computed
-//!   expected state, counting any undetected divergence as a silent
-//!   corruption.
+//!   boundary* of the commit sequence, bit flips, truncations), each on
+//!   a fresh [`MemStorage`] disk recovered through
+//!   [`DurableEngine::recover_with`], and cross-checks each recovery
+//!   against an independently computed expected state, counting any
+//!   undetected divergence as a silent corruption. The real-disk
+//!   [`OsStorage`] path is exercised by the store's own unit tests and
+//!   the recovery integration suite.
 //!
 //! All serialization is hand-rolled little-endian ([`Writer`] /
 //! [`Reader`] / [`Codec`]): `f64` fields travel as raw IEEE-754 bits so
@@ -54,6 +57,7 @@ use crate::config::{ArrayConfig, TechParams};
 use crate::corpus::{ClusterData, CorpusConfig, CorpusEngine, CorpusTierStatus};
 use crate::encoding::Encoding;
 use crate::faults::{FaultKind, FaultMap};
+use crate::parallel::splitmix;
 use crate::resilience::{ResilienceConfig, ResilientArray, RowHealth, WearPolicy};
 use crate::runtime::{
     BackendKind, BatchOutcome, CircuitBreaker, EpochSnapshots, ResilientEngine, RetryConfig,
@@ -2572,14 +2576,6 @@ pub struct CrashChaosReport {
     pub false_alarms: usize,
 }
 
-/// SplitMix64: cheap deterministic stream derivation for scenario seeds.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Byte spans `[start, end)` of each journal record in a WAL image
 /// (header excluded).
 fn record_spans(wal: &[u8]) -> Vec<(usize, usize)> {
@@ -2598,8 +2594,8 @@ fn record_spans(wal: &[u8]) -> Vec<(usize, usize)> {
 }
 
 struct Scenario<'a> {
-    /// Files to materialize in the scenario directory.
-    files: Vec<(String, &'a [u8])>,
+    /// Files to materialize on the scenario's fresh disk.
+    files: Vec<(&'a str, &'a [u8])>,
     /// Generation the recovery must come back on.
     expect_generation: u64,
     /// Journal ops the recovery must replay.
@@ -2610,26 +2606,24 @@ struct Scenario<'a> {
     must_be_clean: bool,
 }
 
-/// Runs one recovery against a scenario directory and captures the
-/// recovered deployment.
+/// Runs one recovery against a fresh in-memory disk holding exactly
+/// `files`, and captures the recovered deployment.
 fn run_scenario_recovery(
-    dir: &Path,
-    files: &[(String, &[u8])],
+    files: &[(&str, &[u8])],
     cfg: RuntimeConfig,
 ) -> Result<(DeploymentState, RecoveryReport), StoreError> {
-    if dir.exists() {
-        fs::remove_dir_all(dir)?; // [real-disk ok] crash campaign scratch
-    }
-    fs::create_dir_all(dir)?; // [real-disk ok] crash campaign scratch
+    let dir = Path::new("crash-scenario");
+    let disk = MemStorage::new();
     for (name, bytes) in files {
-        fs::write(dir.join(name), bytes)?; // [real-disk ok] crash campaign scratch
+        disk.write_atomic(&dir.join(name), bytes)?;
     }
-    let (engine, report) = DurableEngine::recover(dir, cfg)?;
+    let store = CheckpointStore::open_with(dir, Arc::new(disk))?;
+    let (engine, report) = DurableEngine::recover_with(store, cfg, Clock::default())?;
     Ok((engine.engine().checkpoint(), report))
 }
 
-/// Runs the seeded crash-injection campaign in `scratch` (a disposable
-/// directory; its contents are recreated per scenario).
+/// Runs the seeded crash-injection campaign, each scenario on a fresh
+/// [`MemStorage`] disk.
 ///
 /// A reference deployment is built from the seed, checkpointed, mutated
 /// through journaled ops, and checkpointed again; the campaign then
@@ -2642,12 +2636,9 @@ fn run_scenario_recovery(
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors and reference-deployment construction
-/// failures (never scenario-level recovery errors — those are counted).
-pub fn run_crash_chaos(
-    cfg: &CrashChaosConfig,
-    scratch: &Path,
-) -> Result<CrashChaosReport, StoreError> {
+/// Propagates reference-deployment construction failures (never
+/// scenario-level recovery errors — those are counted).
+pub fn run_crash_chaos(cfg: &CrashChaosConfig) -> Result<CrashChaosReport, StoreError> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -2727,19 +2718,14 @@ pub fn run_crash_chaos(
     let exp_g2 = ResilientEngine::restore(&state2, rcfg)?.checkpoint();
 
     let n_ops = ops.len();
-    let dir = scratch.join("scenario");
     let mut report = CrashChaosReport::default();
+    let (ckpt1_name, wal1_name) = ("ckpt-00000001.tdam", "wal-00000001.tdam");
+    let (ckpt2_name, wal2_name) = ("ckpt-00000002.tdam", "wal-00000002.tdam");
 
-    let ckpt1_name = "ckpt-00000001.tdam".to_string();
-    let wal1_name = "wal-00000001.tdam".to_string();
-    let ckpt2_name = "ckpt-00000002.tdam".to_string();
-    let wal2_name = "wal-00000002.tdam".to_string();
-
-    let judge = |report: &mut CrashChaosReport,
-                 scenario: &Scenario<'_>,
-                 outcome: Result<(DeploymentState, RecoveryReport), StoreError>| {
+    // Recovers one scenario and judges it against the expectation.
+    let judge = |report: &mut CrashChaosReport, scenario: Scenario<'_>| {
         report.scenarios += 1;
-        match outcome {
+        match run_scenario_recovery(&scenario.files, rcfg) {
             Ok((state, rec)) => {
                 report.detected += usize::from(rec.corruption_detected);
                 report.fallbacks += usize::from(rec.fell_back);
@@ -2788,17 +2774,16 @@ pub fn run_crash_chaos(
         let partial = &ckpt2[..k.min(ckpt2.len())];
         let scenario = Scenario {
             files: vec![
-                (ckpt1_name.clone(), ckpt1.as_slice()),
-                (wal1_name.clone(), wal1.as_slice()),
-                (tmp2_name.clone(), partial),
+                (ckpt1_name, ckpt1.as_slice()),
+                (wal1_name, wal1.as_slice()),
+                (tmp2_name.as_str(), partial),
             ],
             expect_generation: 1,
             expect_ops: n_ops,
             must_detect: false,
             must_be_clean: false,
         };
-        let outcome = run_scenario_recovery(&dir, &scenario.files, rcfg);
-        judge(&mut report, &scenario, outcome);
+        judge(&mut report, scenario);
         report.commit_kills += 1;
         if k >= ckpt2.len() {
             break;
@@ -2809,17 +2794,16 @@ pub fn run_crash_chaos(
     // generation 2 exists, its journal does not.
     let scenario = Scenario {
         files: vec![
-            (ckpt1_name.clone(), ckpt1.as_slice()),
-            (wal1_name.clone(), wal1.as_slice()),
-            (ckpt2_name.clone(), ckpt2.as_slice()),
+            (ckpt1_name, ckpt1.as_slice()),
+            (wal1_name, wal1.as_slice()),
+            (ckpt2_name, ckpt2.as_slice()),
         ],
         expect_generation: 2,
         expect_ops: 0,
         must_detect: false,
         must_be_clean: false,
     };
-    let outcome = run_scenario_recovery(&dir, &scenario.files, rcfg);
-    judge(&mut report, &scenario, outcome);
+    judge(&mut report, scenario);
     report.commit_kills += 1;
 
     // Family B: kill mid-journal-append, at every byte boundary of the
@@ -2831,17 +2815,13 @@ pub fn run_crash_chaos(
         let complete = spans.iter().filter(|&&(_, end)| end <= j).count();
         let at_boundary = j >= 16 && (j == wal1.len() || spans.iter().any(|&(s, _)| s == j));
         let scenario = Scenario {
-            files: vec![
-                (ckpt1_name.clone(), ckpt1.as_slice()),
-                (wal1_name.clone(), cut),
-            ],
+            files: vec![(ckpt1_name, ckpt1.as_slice()), (wal1_name, cut)],
             expect_generation: 1,
             expect_ops: if j < 16 { 0 } else { complete },
             must_detect: !at_boundary,
             must_be_clean: false,
         };
-        let outcome = run_scenario_recovery(&dir, &scenario.files, rcfg);
-        judge(&mut report, &scenario, outcome);
+        judge(&mut report, scenario);
         report.journal_kills += 1;
         if j >= wal1.len() {
             break;
@@ -2853,45 +2833,43 @@ pub fn run_crash_chaos(
     // Every flip must be detected (magic/length/CRC) and recovery must
     // fall back to generation 1 + full journal — the identical state.
     for i in 0..cfg.checkpoint_flips {
-        let s = mix(cfg.seed ^ mix(0xC001 + i as u64));
+        let s = splitmix(cfg.seed ^ splitmix(0xC001 + i as u64));
         let mut damaged = ckpt2.clone();
         let byte = (s % damaged.len() as u64) as usize;
         damaged[byte] ^= 1 << ((s >> 32) % 8);
         let scenario = Scenario {
             files: vec![
-                (ckpt1_name.clone(), ckpt1.as_slice()),
-                (wal1_name.clone(), wal1.as_slice()),
-                (ckpt2_name.clone(), damaged.as_slice()),
-                (wal2_name.clone(), wal2.as_slice()),
+                (ckpt1_name, ckpt1.as_slice()),
+                (wal1_name, wal1.as_slice()),
+                (ckpt2_name, damaged.as_slice()),
+                (wal2_name, wal2.as_slice()),
             ],
             expect_generation: 1,
             expect_ops: n_ops,
             must_detect: true,
             must_be_clean: false,
         };
-        let outcome = run_scenario_recovery(&dir, &scenario.files, rcfg);
-        judge(&mut report, &scenario, outcome);
+        judge(&mut report, scenario);
         report.checkpoint_flips += 1;
     }
 
     // Family D: truncations of the newest checkpoint.
     for i in 0..cfg.checkpoint_truncations {
-        let s = mix(cfg.seed ^ mix(0x7A0B + i as u64));
+        let s = splitmix(cfg.seed ^ splitmix(0x7A0B + i as u64));
         let cut = (s % ckpt2.len() as u64) as usize;
         let scenario = Scenario {
             files: vec![
-                (ckpt1_name.clone(), ckpt1.as_slice()),
-                (wal1_name.clone(), wal1.as_slice()),
-                (ckpt2_name.clone(), &ckpt2[..cut]),
-                (wal2_name.clone(), wal2.as_slice()),
+                (ckpt1_name, ckpt1.as_slice()),
+                (wal1_name, wal1.as_slice()),
+                (ckpt2_name, &ckpt2[..cut]),
+                (wal2_name, wal2.as_slice()),
             ],
             expect_generation: 1,
             expect_ops: n_ops,
             must_detect: true,
             must_be_clean: false,
         };
-        let outcome = run_scenario_recovery(&dir, &scenario.files, rcfg);
-        judge(&mut report, &scenario, outcome);
+        judge(&mut report, scenario);
         report.checkpoint_truncations += 1;
     }
 
@@ -2901,7 +2879,7 @@ pub fn run_crash_chaos(
     // must be flagged and the recovered state must match the replayed
     // prefix exactly.
     for i in 0..cfg.journal_flips {
-        let s = mix(cfg.seed ^ mix(0xF11B + i as u64));
+        let s = splitmix(cfg.seed ^ splitmix(0xF11B + i as u64));
         let mut damaged = wal1.clone();
         let byte = (s % damaged.len() as u64) as usize;
         damaged[byte] ^= 1 << ((s >> 32) % 8);
@@ -2912,16 +2890,15 @@ pub fn run_crash_chaos(
         };
         let scenario = Scenario {
             files: vec![
-                (ckpt1_name.clone(), ckpt1.as_slice()),
-                (wal1_name.clone(), damaged.as_slice()),
+                (ckpt1_name, ckpt1.as_slice()),
+                (wal1_name, damaged.as_slice()),
             ],
             expect_generation: 1,
             expect_ops: prefix,
             must_detect: true,
             must_be_clean: false,
         };
-        let outcome = run_scenario_recovery(&dir, &scenario.files, rcfg);
-        judge(&mut report, &scenario, outcome);
+        judge(&mut report, scenario);
         report.journal_flips += 1;
     }
 
@@ -2929,24 +2906,20 @@ pub fn run_crash_chaos(
     for _ in 0..cfg.clean_controls {
         let scenario = Scenario {
             files: vec![
-                (ckpt1_name.clone(), ckpt1.as_slice()),
-                (wal1_name.clone(), wal1.as_slice()),
-                (ckpt2_name.clone(), ckpt2.as_slice()),
-                (wal2_name.clone(), wal2.as_slice()),
+                (ckpt1_name, ckpt1.as_slice()),
+                (wal1_name, wal1.as_slice()),
+                (ckpt2_name, ckpt2.as_slice()),
+                (wal2_name, wal2.as_slice()),
             ],
             expect_generation: 2,
             expect_ops: 0,
             must_detect: false,
             must_be_clean: true,
         };
-        let outcome = run_scenario_recovery(&dir, &scenario.files, rcfg);
-        judge(&mut report, &scenario, outcome);
+        judge(&mut report, scenario);
         report.clean_controls += 1;
     }
 
-    if dir.exists() {
-        let _ = fs::remove_dir_all(&dir); // [real-disk ok] crash campaign scratch
-    }
     Ok(report)
 }
 
@@ -3536,8 +3509,7 @@ mod tests {
 
     #[test]
     fn quick_crash_campaign_has_no_silent_corruption() {
-        let dir = scratch("chaos-quick");
-        let report = run_crash_chaos(&CrashChaosConfig::quick(), &dir).expect("campaign");
+        let report = run_crash_chaos(&CrashChaosConfig::quick()).expect("campaign");
         assert!(report.scenarios > 100, "campaign too small: {report:?}");
         assert_eq!(report.silent_corruptions, 0, "{report:?}");
         assert_eq!(report.failed_recoveries, 0, "{report:?}");
@@ -3545,6 +3517,5 @@ mod tests {
         assert!(report.detected > 0);
         assert!(report.fallbacks > 0);
         assert!(report.torn_journals > 0);
-        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -252,8 +252,7 @@ fn recovery_without_checkpoints_is_refused() {
 
 #[test]
 fn full_crash_campaign_reports_zero_silent_corruptions() {
-    let dir = scratch("campaign");
-    let report = run_crash_chaos(&CrashChaosConfig::paper_default(), &dir).expect("campaign");
+    let report = run_crash_chaos(&CrashChaosConfig::paper_default()).expect("campaign");
     assert!(
         report.scenarios >= 1000,
         "acceptance requires >= 1000 scenarios, got {}",
@@ -264,5 +263,4 @@ fn full_crash_campaign_reports_zero_silent_corruptions() {
     assert_eq!(report.false_alarms, 0, "{report:?}");
     assert!(report.detected > 0, "{report:?}");
     assert!(report.fallbacks > 0, "{report:?}");
-    std::fs::remove_dir_all(&dir).ok();
 }

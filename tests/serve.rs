@@ -401,6 +401,13 @@ fn serve_chaos_campaign_has_zero_silent_wrong_answers() {
     let cfg = ServeChaosConfig::quick(Some(dir.clone()));
     let report = run_serve_chaos(&cfg).expect("campaign");
     assert_eq!(report.phases.len(), 5);
+    for phase in &report.phases {
+        assert_eq!(
+            phase.answered + phase.shed_queue + phase.shed_deadline + phase.errors,
+            phase.requests,
+            "every request is answered, shed, or an error: {phase:?}"
+        );
+    }
     assert_eq!(
         report.silent_wrong(),
         0,
