@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the batched query path: one packed-kernel
 //! search vs the full behavioral model, and whole-batch serving through
-//! `CompiledArray::search_batch` (see `packed.rs` for the encoding, size,
+//! `CompiledSnapshot::search_batch` (see `packed.rs` for the encoding, size,
 //! and dispatch-ladder sweeps).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -39,9 +39,13 @@ fn bench_packed_vs_behavioral_search(c: &mut Criterion) {
     c.bench_function("array_search_behavioral_64x128", |b| {
         b.iter(|| TdamArray::search(black_box(&am), black_box(&query)).expect("searches"))
     });
-    let compiled = am.compile();
+    let compiled = am.compile_snapshot();
     c.bench_function("array_search_packed_64x128", |b| {
-        b.iter(|| compiled.search_packed(black_box(&query)).expect("searches"))
+        b.iter(|| {
+            compiled
+                .search_packed(&am, black_box(&query))
+                .expect("searches")
+        })
     });
 }
 
@@ -55,11 +59,11 @@ fn bench_batch_serving(c: &mut Criterion) {
                 .count()
         })
     });
-    let compiled = am.compile();
+    let compiled = am.compile_snapshot();
     c.bench_function("batch64_compiled_pool_64x128", |b| {
         b.iter(|| {
             compiled
-                .search_batch(black_box(&batch), None)
+                .search_batch(&am, black_box(&batch), None)
                 .expect("searches")
                 .len()
         })

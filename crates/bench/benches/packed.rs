@@ -66,20 +66,20 @@ fn best_of_n<F: FnMut() -> usize>(n: usize, mut f: F) -> f64 {
 
 fn bench_config(c: &mut Criterion, bits: u8, rows: usize) {
     let (am, batch) = seeded_array(bits, rows, 0xBEC5 ^ ((bits as u64) << 16) ^ rows as u64);
-    let compiled = am.compile();
+    let compiled = am.compile_snapshot();
     assert_eq!(compiled.packed_rows(), rows, "all rows must pack");
     let tag = format!("{bits}bit_{rows}rows_{STAGES}stages");
 
     // Coarse archivable summary, independent of the harness backend.
     let packed = best_of(|| {
         compiled
-            .search_batch(&batch, Some(1))
+            .search_batch(&am, &batch, Some(1))
             .expect("packed")
             .len()
     });
     let decide = best_of(|| {
         compiled
-            .decide_batch(&batch, Some(1))
+            .decide_batch(&am, &batch, Some(1))
             .expect("decide")
             .len()
     });
@@ -93,7 +93,7 @@ fn bench_config(c: &mut Criterion, bits: u8, rows: usize) {
     c.bench_function(&format!("packed_batch_{tag}"), |b| {
         b.iter(|| {
             compiled
-                .search_batch(black_box(&batch), Some(1))
+                .search_batch(&am, black_box(&batch), Some(1))
                 .expect("packed")
                 .len()
         })
@@ -101,7 +101,7 @@ fn bench_config(c: &mut Criterion, bits: u8, rows: usize) {
     c.bench_function(&format!("decide_batch_{tag}"), |b| {
         b.iter(|| {
             compiled
-                .decide_batch(black_box(&batch), Some(1))
+                .decide_batch(&am, black_box(&batch), Some(1))
                 .expect("decide")
                 .len()
         })
@@ -125,15 +125,15 @@ fn bench_row_sweep(c: &mut Criterion) {
 fn bench_kernel_ladder(c: &mut Criterion) {
     const ROWS: usize = 1024;
     let (am, batch) = seeded_array(2, ROWS, 0x1ADD);
-    let mut compiled = am.compile();
+    let mut compiled = am.compile_snapshot();
     assert_eq!(compiled.packed_rows(), ROWS, "all rows must pack");
     assert!(compiled.force_kernel(PackedKernel::Scalar));
-    let reference = compiled.decide_batch(&batch, Some(1)).expect("scalar");
+    let reference = compiled.decide_batch(&am, &batch, Some(1)).expect("scalar");
     // Best of many passes: at 1024 rows a single 32-query pass is short
     // enough that scheduler noise would otherwise dominate the ratios.
     let scalar = best_of_n(20, || {
         compiled
-            .decide_batch(&batch, Some(1))
+            .decide_batch(&am, &batch, Some(1))
             .expect("scalar")
             .len()
     });
@@ -151,13 +151,16 @@ fn bench_kernel_ladder(c: &mut Criterion) {
         }
         let name = compiled.kernel().name();
         assert_eq!(
-            compiled.decide_batch(&batch, Some(1)).expect("rung"),
+            compiled.decide_batch(&am, &batch, Some(1)).expect("rung"),
             reference,
             "{name} rung diverged from scalar"
         );
         if rung != PackedKernel::Scalar {
             let t = best_of_n(20, || {
-                compiled.decide_batch(&batch, Some(1)).expect("rung").len()
+                compiled
+                    .decide_batch(&am, &batch, Some(1))
+                    .expect("rung")
+                    .len()
             });
             line.push_str(&format!(
                 "  {name} {:7.2} µs ({:5.2}x)",
@@ -170,7 +173,7 @@ fn bench_kernel_ladder(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     compiled
-                        .decide_batch(black_box(&batch), Some(1))
+                        .decide_batch(&am, black_box(&batch), Some(1))
                         .expect("rung")
                         .len()
                 })

@@ -5,10 +5,10 @@
 //! query batch three ways: a sequential loop of single-query
 //! `SimilarityEngine::search` calls through the full calibrated
 //! behavioral model; the bit-sliced packed kernel materializing full
-//! analog outcomes (`CompiledArray::search_batch`, XOR/popcount over
+//! analog outcomes (`CompiledSnapshot::search_batch`, XOR/popcount over
 //! bit-plane words with count-indexed delay reconstruction); and the
 //! packed kernel's decision-only path on one thread
-//! (`CompiledArray::decide_batch`, winners and decoded distances — the
+//! (`CompiledSnapshot::decide_batch`, winners and decoded distances — the
 //! output the hardware TDC exports). Before any timing is reported, both
 //! packed tiers are verified decision-identical to the sequential loop
 //! (same winners, same decoded distances — the `tdam::packed`
@@ -113,7 +113,7 @@ fn main() {
         sequential_results = run;
     }
 
-    let compiled = am.compile();
+    let compiled = am.compile_snapshot();
     rline!(rpt, "packed rows: {}/{}", compiled.packed_rows(), rows);
 
     // Packed tier: bit-plane XOR/popcount mismatch counting with
@@ -122,7 +122,9 @@ fn main() {
     let mut packed_best = f64::INFINITY;
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let run = compiled.search_batch(&batch, None).expect("packed batch");
+        let run = compiled
+            .search_batch(&am, &batch, None)
+            .expect("packed batch");
         packed_best = packed_best.min(t0.elapsed().as_secs_f64());
         packed_results = run;
     }
@@ -136,7 +138,7 @@ fn main() {
     for _ in 0..repeats {
         let t0 = Instant::now();
         let run = compiled
-            .decide_batch(&batch, Some(1))
+            .decide_batch(&am, &batch, Some(1))
             .expect("decide batch");
         decide_best = decide_best.min(t0.elapsed().as_secs_f64());
         decide_results = run;
@@ -251,7 +253,7 @@ fn main() {
             .collect();
         ladder_queries.push(&q).expect("push");
     }
-    let mut ladder = ladder_am.compile();
+    let mut ladder = ladder_am.compile_snapshot();
     assert_eq!(ladder.packed_rows(), ladder_rows, "ladder rows must pack");
     rpt.header(&format!(
         "kernel dispatch ladder: {stages}x{ladder_rows} {bits}-bit array, \
@@ -275,7 +277,7 @@ fn main() {
         for _ in 0..repeats {
             let t0 = Instant::now();
             let run = ladder
-                .decide_batch(&ladder_queries, None)
+                .decide_batch(&ladder_am, &ladder_queries, None)
                 .expect("ladder decide");
             best = best.min(t0.elapsed().as_secs_f64());
             decisions = run;

@@ -2,13 +2,16 @@
 //! degradation curve, guaranteed load shedding, and warm-standby
 //! failover, all judged against brute force.
 //!
-//! Three experiments against the `tdam::serve` TCP front-end:
+//! Three experiments against the `tdam::serve` TCP front-end. All three
+//! drive load through one judged closed-loop client pool,
+//! `tdam::serve::run_phase`: seeded queries (stored rows with 0–3
+//! elements perturbed), every complete reply judged against
+//! `brute_force_topk`.
 //!
 //! 1. **Client sweep** — closed-loop clients at increasing concurrency
-//!    against a healthy sharded service. Every complete reply is judged
-//!    against `brute_force_topk` inline; the sweep reports the
-//!    qps / p50 / p99 degradation curve with a 100%-accepted-correct
-//!    gate.
+//!    against a healthy sharded service. The sweep reports the
+//!    qps / p50 / p99 degradation curve with an accepted-correct gate
+//!    (no silent wrong answer, no transport error).
 //! 2. **Overload** — a deliberately starved deployment (one worker,
 //!    one queue slot, an injected-slow shard) driven past capacity.
 //!    The contract under overload is *explicit* shedding: clients see
@@ -16,8 +19,8 @@
 //!    sheds occurred and that every accepted answer was still correct.
 //! 3. **Failover chaos campaign** — the five-phase
 //!    `run_serve_chaos` campaign (steady → overload → slow shard →
-//!    crash → recovered) with warm standbys restored from the
-//!    checkpoint store. Asserts zero silent wrong answers across all
+//!    crash → recovered) with warm standbys restored from in-memory
+//!    checkpoint stores. Asserts zero silent wrong answers across all
 //!    phases, at least one probe-gated failover, and a bounded p99
 //!    through the crash and recovery phases.
 //!
@@ -27,158 +30,13 @@
 //!
 //! Usage: `cargo run --release -p tdam-bench --bin ext_serve_scale [--quick] [--save]`
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tdam::serve::{
-    brute_force_topk, percentile, run_serve_chaos, seeded_corpus, FrontEnd, ServeChaosConfig,
-    ServeClient, ServeConfig, ServeError, ShardedService, ShedReason,
+    run_phase, run_serve_chaos, seeded_corpus, FrontEnd, ServeChaosConfig, ServeConfig,
+    ShardedService,
 };
 use tdam_bench::{quick_mode, rline, JsonMap, Report};
-
-/// One closed-loop client pool's aggregate view of a drive.
-#[derive(Debug, Default, Clone)]
-struct Drive {
-    sent: usize,
-    answered: usize,
-    complete: usize,
-    correct_complete: usize,
-    partial: usize,
-    shed_queue: usize,
-    shed_deadline: usize,
-    errors: usize,
-    latencies_us: Vec<u64>,
-    wall: Duration,
-}
-
-impl Drive {
-    fn qps(&self) -> f64 {
-        if self.wall.is_zero() {
-            0.0
-        } else {
-            self.sent as f64 / self.wall.as_secs_f64()
-        }
-    }
-
-    fn p50_us(&mut self) -> u64 {
-        percentile(&mut self.latencies_us, 50.0)
-    }
-
-    fn p99_us(&mut self) -> u64 {
-        percentile(&mut self.latencies_us, 99.0)
-    }
-
-    fn sheds(&self) -> usize {
-        self.shed_queue + self.shed_deadline
-    }
-}
-
-/// Drives `clients` closed-loop client threads against `addr`, each
-/// sending `requests` seeded queries (perturbed corpus rows), judging
-/// every complete reply against brute force.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    addr: SocketAddr,
-    corpus: &[Vec<u8>],
-    encoding: tdam::encoding::Encoding,
-    clients: usize,
-    requests: usize,
-    k: usize,
-    deadline: Duration,
-    seed: u64,
-) -> Drive {
-    let levels = encoding.levels() as u32;
-    let stages = corpus[0].len();
-    let t0 = Instant::now();
-    let tallies: Vec<Drive> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut tally = Drive::default();
-                    let mut rng = StdRng::seed_from_u64(seed ^ (0x9E37 + c as u64));
-                    let mut client = match ServeClient::connect(addr) {
-                        Ok(cl) => cl,
-                        Err(_) => {
-                            tally.errors = requests;
-                            return tally;
-                        }
-                    };
-                    for _ in 0..requests {
-                        let base = rng.gen_range(0..corpus.len());
-                        let mut query = corpus[base].clone();
-                        // Perturb a couple of stages so queries are not
-                        // pure exact matches.
-                        for _ in 0..2 {
-                            let s = rng.gen_range(0..stages);
-                            query[s] = rng.gen_range(0..levels) as u8;
-                        }
-                        tally.sent += 1;
-                        let q0 = Instant::now();
-                        match client.query(&query, k, deadline) {
-                            Ok(topk) => {
-                                tally.answered += 1;
-                                tally.latencies_us.push(q0.elapsed().as_micros() as u64);
-                                if topk.complete() {
-                                    tally.complete += 1;
-                                    let reference = brute_force_topk(corpus, encoding, &query, k)
-                                        .expect("brute force");
-                                    if topk.neighbors == reference {
-                                        tally.correct_complete += 1;
-                                    }
-                                } else {
-                                    tally.partial += 1;
-                                }
-                            }
-                            Err(ServeError::Overloaded(ShedReason::QueueFull)) => {
-                                tally.shed_queue += 1;
-                            }
-                            Err(ServeError::Overloaded(ShedReason::DeadlineExpired)) => {
-                                tally.shed_deadline += 1;
-                            }
-                            Err(_) => {
-                                tally.errors += 1;
-                                // The connection may be poisoned; dial a
-                                // fresh one and keep the loop closed.
-                                if let Ok(cl) = ServeClient::connect(addr) {
-                                    client = cl;
-                                }
-                            }
-                        }
-                    }
-                    tally
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
-    });
-    let mut total = Drive {
-        wall: t0.elapsed(),
-        ..Drive::default()
-    };
-    for t in tallies {
-        total.sent += t.sent;
-        total.answered += t.answered;
-        total.complete += t.complete;
-        total.correct_complete += t.correct_complete;
-        total.partial += t.partial;
-        total.shed_queue += t.shed_queue;
-        total.shed_deadline += t.shed_deadline;
-        total.errors += t.errors;
-        total.latencies_us.extend(t.latencies_us);
-    }
-    total
-}
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tdam-serve-scale-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
 
 fn main() {
     let quick = quick_mode();
@@ -230,30 +88,32 @@ fn main() {
     let mut sweep_rows = Vec::new();
     let mut sweep_correct = true;
     for &clients in sweep {
-        let mut d = drive(
-            addr, &corpus, encoding, clients, requests, k, deadline, seed,
+        let d = run_phase(
+            "sweep", addr, &corpus, encoding, seed, k, clients, requests, deadline,
         );
-        sweep_correct &= d.correct_complete == d.complete && d.errors == 0;
-        let (p50, p99) = (d.p50_us(), d.p99_us());
+        sweep_correct &= d.silent_wrong == 0 && d.errors == 0;
+        let correct_complete = d.complete - d.silent_wrong;
         rline!(
             rpt,
-            "{clients:>8} {:>8} {:>10.0} {p50:>10} {p99:>10} {:>5}/{:<3} {:>7}",
-            d.sent,
-            d.qps(),
-            d.correct_complete,
+            "{clients:>8} {:>8} {:>10} {:>10} {:>10} {:>5}/{:<3} {:>7}",
+            d.requests,
+            d.qps,
+            d.p50_us,
+            d.p99_us,
+            correct_complete,
             d.complete,
             d.sheds()
         );
         sweep_rows.push(
             JsonMap::new()
                 .int("clients", clients as i64)
-                .int("sent", d.sent as i64)
+                .int("sent", d.requests as i64)
                 .int("answered", d.answered as i64)
-                .num("qps", d.qps())
-                .int("p50_us", p50 as i64)
-                .int("p99_us", p99 as i64)
+                .num("qps", d.qps as f64)
+                .int("p50_us", d.p50_us as i64)
+                .int("p99_us", d.p99_us as i64)
                 .int("complete", d.complete as i64)
-                .int("correct_complete", d.correct_complete as i64)
+                .int("correct_complete", correct_complete as i64)
                 .int("sheds", d.sheds() as i64)
                 .int("errors", d.errors as i64),
         );
@@ -261,12 +121,12 @@ fn main() {
     front.shutdown();
     rline!(
         rpt,
-        "accepted-correct gate (every complete reply == brute force): {}",
+        "accepted-correct gate (no silent wrong answer, no error): {}",
         if sweep_correct { "PASS" } else { "FAIL" }
     );
     assert!(
         sweep_correct,
-        "sweep returned a complete reply that differs from brute force"
+        "sweep returned a silent wrong answer or a transport error"
     );
 
     // ------------------------------------------------------------------
@@ -285,22 +145,22 @@ fn main() {
     service.inject_slow(0, Some(Duration::from_millis(5)));
     let mut front = FrontEnd::start(Arc::clone(&service), &starving, "127.0.0.1:0").expect("front");
     let burst_clients = if quick { 6 } else { 8 };
-    let mut d = drive(
+    let d = run_phase(
+        "overload",
         front.addr(),
         &corpus,
         encoding,
+        seed ^ 0xBEEF,
+        k,
         burst_clients,
         requests,
-        k,
         Duration::from_millis(40),
-        seed ^ 0xBEEF,
     );
     front.shutdown();
-    let (p50, p99) = (d.p50_us(), d.p99_us());
     rline!(
         rpt,
         "sent {} | answered {} | shed queue-full {} | shed deadline {} | errors {}",
-        d.sent,
+        d.requests,
         d.answered,
         d.shed_queue,
         d.shed_deadline,
@@ -308,8 +168,10 @@ fn main() {
     );
     rline!(
         rpt,
-        "answered p50 {p50} us, p99 {p99} us, {:.0} qps",
-        d.qps()
+        "answered p50 {} us, p99 {} us, {} qps",
+        d.p50_us,
+        d.p99_us,
+        d.qps
     );
     rline!(
         rpt,
@@ -317,27 +179,23 @@ fn main() {
         if d.sheds() > 0 { "PASS" } else { "FAIL" }
     );
     assert!(d.sheds() > 0, "starved deployment shed nothing");
-    assert_eq!(
-        d.correct_complete, d.complete,
-        "overload returned a silent wrong answer"
-    );
+    assert_eq!(d.silent_wrong, 0, "overload returned a silent wrong answer");
     let overload_json = JsonMap::new()
         .int("clients", burst_clients as i64)
-        .int("sent", d.sent as i64)
+        .int("sent", d.requests as i64)
         .int("answered", d.answered as i64)
         .int("shed_queue", d.shed_queue as i64)
         .int("shed_deadline", d.shed_deadline as i64)
         .int("errors", d.errors as i64)
-        .int("p99_us", p99 as i64)
+        .int("p99_us", d.p99_us as i64)
         .int("complete", d.complete as i64)
-        .int("correct_complete", d.correct_complete as i64);
+        .int("correct_complete", (d.complete - d.silent_wrong) as i64);
 
     // ------------------------------------------------------------------
     // 3. Failover chaos campaign with warm standbys.
     // ------------------------------------------------------------------
     rpt.header("failover chaos campaign (steady -> overload -> slow -> crash -> recovered)");
-    let standby = scratch_dir("failover");
-    let mut chaos = ServeChaosConfig::quick(Some(standby.clone()));
+    let mut chaos = ServeChaosConfig::quick();
     chaos.serve.array = chaos.serve.array.with_stages(stages);
     chaos.rows = rows;
     chaos.serve.rows_per_shard = rows_per_shard;
@@ -346,7 +204,6 @@ fn main() {
     chaos.requests_per_client = requests;
     chaos.deadline = deadline;
     let report = run_serve_chaos(&chaos).expect("chaos campaign");
-    std::fs::remove_dir_all(&standby).ok();
 
     rline!(
         rpt,

@@ -312,9 +312,9 @@ fn bench_batch(args: &Args) -> Result<String, CliError> {
     }
     let t_seq = t0.elapsed().as_secs_f64();
 
-    let compiled = am.compile();
+    let compiled = am.compile_snapshot();
     let t1 = std::time::Instant::now();
-    let outcomes = compiled.search_batch(&batch, threads)?;
+    let outcomes = compiled.search_batch(&am, &batch, threads)?;
     let t_batch = t1.elapsed().as_secs_f64();
 
     // The packed batch tier's contract (tests/packed_equiv.rs): decisions,
@@ -570,7 +570,7 @@ fn restore(args: &Args) -> Result<String, CliError> {
 fn serve(args: &Args) -> Result<String, CliError> {
     use tdam::serve::{run_serve_chaos, ServeChaosConfig};
 
-    let mut cfg = ServeChaosConfig::quick(None);
+    let mut cfg = ServeChaosConfig::quick();
     cfg.serve.array = base_config(args)?
         .with_stages(args.usize_or("stages", 16)?)
         .with_rows(1); // per-shard rows come from the shard map
@@ -584,18 +584,8 @@ fn serve(args: &Args) -> Result<String, CliError> {
     cfg.seed = args.usize_or("seed", 7)? as u64;
     cfg.deadline = std::time::Duration::from_millis(args.usize_or("deadline-ms", 250)? as u64);
     cfg.chaos = !args.switch("no-chaos");
-    let standby_dir = match args.get("standby-dir") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::temp_dir().join(format!("tdam-serve-standby-{}", std::process::id())),
-    };
-    std::fs::create_dir_all(&standby_dir)
-        .map_err(|e| CliError::Usage(format!("cannot create standby dir: {e}")))?;
-    cfg.standby_dir = Some(standby_dir.clone());
 
     let report = run_serve_chaos(&cfg)?;
-    if args.get("standby-dir").is_none() {
-        let _ = std::fs::remove_dir_all(&standby_dir);
-    }
 
     let mut out = format!(
         "sharded serving campaign: {} rows x {} stages, {} rows/shard, \
@@ -717,6 +707,17 @@ fn serve_load(args: &Args) -> Result<String, CliError> {
     // Discover the corpus shape over the wire so queries are well
     // formed without any out-of-band knowledge.
     let info = ServeClient::connect(addr)?.info()?;
+    // The reply is untrusted: an empty or over-wide element range would
+    // panic or silently truncate the query sampler below.
+    if info.stages == 0 {
+        return Err(CliError::permanent("peer reported stages 0"));
+    }
+    if !(1..=256).contains(&info.levels) {
+        return Err(CliError::permanent(format!(
+            "peer reported levels {}, outside 1..=256",
+            info.levels
+        )));
+    }
 
     struct Tally {
         answered: usize,
@@ -746,7 +747,7 @@ fn serve_load(args: &Args) -> Result<String, CliError> {
                     };
                     for _ in 0..requests {
                         let query: Vec<u8> = (0..info.stages)
-                            .map(|_| rng.gen_range(0..info.levels as u8))
+                            .map(|_| rng.gen_range(0..info.levels) as u8)
                             .collect();
                         let sent = std::time::Instant::now();
                         match client.query(&query, k, deadline) {
@@ -1594,6 +1595,37 @@ mod tests {
         assert!(out.contains("answered 10/10"), "{out}");
         assert!(out.contains("p99"), "{out}");
         front.shutdown();
+    }
+
+    #[test]
+    fn serve_load_rejects_an_out_of_range_info_reply() {
+        use tdam::serve::{read_frame, write_frame, InfoReply, Reply, Request};
+
+        // A one-shot peer that answers the Info probe with 300 levels —
+        // more than a `u8` element can hold — and then hangs up.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let frame = read_frame(&mut stream).expect("read").expect("frame");
+            assert_eq!(Request::decode(&frame).expect("decode"), Request::Info);
+            let reply = Reply::Info(InfoReply {
+                stages: 8,
+                levels: 300,
+                rows: 20,
+                shards: 1,
+            });
+            write_frame(&mut stream, &reply.encode()).expect("write");
+            listener
+        });
+        let err = run(&["serve-load", "--addr", &addr, "--requests", "2"])
+            .expect_err("levels 300 must be rejected");
+        assert!(err.to_string().contains("levels 300"), "{err}");
+        assert_eq!(err.class(), crate::ErrorClass::Permanent, "{err:?}");
+        // No load client ever dialed, so no query was sent.
+        let listener = peer.join().expect("peer");
+        listener.set_nonblocking(true).expect("nonblocking");
+        assert!(listener.accept().is_err(), "a load client connected");
     }
 
     #[test]

@@ -114,7 +114,7 @@ USAGE:
   tdam-sim restore    --dir D
   tdam-sim serve   [--rows R] [--stages N] [--rows-per-shard S] [--clients C]
                    [--requests Q] [--k K] [--deadline-ms D] [--workers W]
-                   [--queue-capacity N] [--seed X] [--standby-dir DIR] [--no-chaos]
+                   [--queue-capacity N] [--seed X] [--no-chaos]
   tdam-sim serve-load --addr HOST:PORT [--clients C] [--requests Q] [--k K]
                    [--deadline-ms D] [--seed X]
   tdam-sim simulate [--seed X] [--scenarios N] [--steps S] [--fault-density P]

@@ -407,23 +407,6 @@ impl TdamArray {
         Ok(acc.finish(self))
     }
 
-    /// Packs every nominal row into the bit-sliced kernel
-    /// ([`crate::packed`]) for the batched query path. Rows holding
-    /// variation-perturbed cells keep the full model and fall back to
-    /// [`DelayChain::evaluate`] per query.
-    ///
-    /// The compiled view borrows the array: it is built once per batch
-    /// (or held across batches) and shared read-only by worker threads.
-    /// For a view that outlives the borrow — and therefore must detect
-    /// reprogramming — see [`TdamArray::compile_snapshot`].
-    pub fn compile(&self) -> CompiledArray<'_> {
-        CompiledArray {
-            array: self,
-            packed: PackedArray::build(self, &std::collections::BTreeSet::new()),
-            generation: self.generation,
-        }
-    }
-
     /// Compiles into an **owned** snapshot that can be held across
     /// mutations of the source array. Every search through the snapshot
     /// revalidates the source's [generation](TdamArray::generation); once
@@ -620,21 +603,6 @@ fn finish_decide_from_counts(
     })
 }
 
-/// One packed-kernel search over a pre-validated query: a tile of one
-/// through the ladder-dispatched block kernel ([`crate::packed`]).
-/// Shared by [`CompiledArray`] and [`CompiledSnapshot`]; the caller owns
-/// validation, staleness checks, and the reusable scratch.
-fn packed_search_prevalidated(
-    array: &TdamArray,
-    packed: &PackedArray,
-    query: &[u8],
-    scratch: &mut PackedScratch,
-) -> Result<SearchOutcome, TdamError> {
-    packed.expand_query(query, scratch);
-    packed.mismatch_counts(scratch);
-    finish_search_from_counts(array, packed, scratch, 0, query)
-}
-
 /// The tiled batch driver behind every packed batch path: validates the
 /// batch once, then fans tiles of [`QUERY_TILE`] queries out across
 /// `threads` workers, each reusing one tile scratch. Per tile it expands
@@ -672,138 +640,13 @@ where
     Ok(tiles.into_iter().flatten().collect())
 }
 
-/// A read-only compiled view of a [`TdamArray`]: every nominal row
-/// packed into the bit-sliced kernel ([`crate::packed`]), shareable
-/// across worker threads for batched serving.
-///
-/// Produced by [`TdamArray::compile`]. Decisions (winners, decoded
-/// distances) through this view are exactly those of
-/// [`TdamArray::search`]; analog figures carry the packed reconstruction
-/// contract.
-#[derive(Debug, Clone)]
-pub struct CompiledArray<'a> {
-    array: &'a TdamArray,
-    packed: PackedArray,
-    generation: u64,
-}
-
-impl CompiledArray<'_> {
-    /// How many rows the bit-sliced packed kernel serves (the rest fall
-    /// back to the full variation-aware model): packing refuses rows
-    /// holding any non-nominal cell, and every row when the timing is
-    /// degenerate (`d_inv + d_c == d_inv`).
-    pub fn packed_rows(&self) -> usize {
-        self.packed.packed_rows()
-    }
-
-    /// The bit-sliced packed view backing [`CompiledArray::search_packed`]
-    /// and the batched path.
-    pub fn packed(&self) -> &PackedArray {
-        &self.packed
-    }
-
-    /// The array [generation](TdamArray::generation) this view was
-    /// compiled at.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Searches one query through the bit-sliced packed kernel
-    /// ([`crate::packed`]): mismatch counts, decoded distances, and the
-    /// winner are exactly identical to [`TdamArray::search`]; the analog
-    /// delay figures are reconstructed count-indexed and agree within the
-    /// documented ulp bound.
-    ///
-    /// # Errors
-    ///
-    /// As [`TdamArray::search`], plus [`TdamError::StaleCompile`] if the
-    /// array's generation no longer matches the one the view was built
-    /// at. (The shared borrow already prevents reprogramming while this
-    /// view is alive, so the check documents the contract shared with the
-    /// owned [`CompiledSnapshot`] rather than catching live mutation.)
-    pub fn search_packed(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
-        check_fresh(self.generation, self.array.generation)?;
-        validate_query(self.array, query)?;
-        let mut scratch = self.packed.scratch();
-        packed_search_prevalidated(self.array, &self.packed, query, &mut scratch)
-    }
-
-    /// Answers a whole batch through the packed kernel, fanning queries
-    /// out across `threads` worker threads (`None` = all cores; see
-    /// [`crate::parallel`]). Validation is hoisted to one pass over the
-    /// whole batch and each worker reuses one query-plane scratch, so the
-    /// hot loop performs no per-query heap allocation. Results are in
-    /// batch order and bit-identical for every thread count; versus the
-    /// behavioral model they carry the packed equivalence contract
-    /// ([`crate::packed`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error in batch order.
-    pub fn search_batch(
-        &self,
-        batch: &BatchQuery,
-        threads: Option<usize>,
-    ) -> Result<Vec<SearchOutcome>, TdamError> {
-        check_fresh(self.generation, self.array.generation)?;
-        packed_batch(
-            self.array,
-            &self.packed,
-            batch,
-            threads,
-            finish_search_from_counts,
-        )
-    }
-
-    /// Answers a whole batch decision-only: per-query winner and decoded
-    /// distances ([`crate::packed::PackedDecision`]), skipping the
-    /// per-row analog reconstruction entirely. This is the kernel at
-    /// full speed — the output is what the hardware TDC exports — and
-    /// its fields are exactly identical to [`SearchOutcome::best_row`] /
-    /// [`SearchOutcome::decoded`] from [`CompiledArray::search_batch`]
-    /// on the same batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledArray::search_batch`].
-    pub fn decide_batch(
-        &self,
-        batch: &BatchQuery,
-        threads: Option<usize>,
-    ) -> Result<Vec<crate::packed::PackedDecision>, TdamError> {
-        check_fresh(self.generation, self.array.generation)?;
-        packed_batch(
-            self.array,
-            &self.packed,
-            batch,
-            threads,
-            finish_decide_from_counts,
-        )
-    }
-
-    /// Forces a dispatch-ladder rung for this view's packed kernel
-    /// ([`crate::packed::PackedKernel`]); tests and benchmarks use this
-    /// to pin a rung, production code leaves detection alone. Returns
-    /// `false` (keeping the current rung) when the requested rung is not
-    /// available in this build/CPU.
-    pub fn force_kernel(&mut self, kernel: crate::packed::PackedKernel) -> bool {
-        self.packed.set_kernel(kernel)
-    }
-
-    /// The dispatch-ladder rung this view's packed kernel executes.
-    pub fn kernel(&self) -> crate::packed::PackedKernel {
-        self.packed.kernel()
-    }
-}
-
 /// An **owned** compiled view of a [`TdamArray`]: the packed bit planes
 /// plus a clone of the source array, stamped with the source's
 /// [generation](TdamArray::generation) at compile time.
 ///
-/// Unlike [`CompiledArray`], a snapshot outlives the borrow of its source,
-/// so the source can be reprogrammed while the snapshot is held — exactly
-/// the situation where serving from the old planes would silently return
-/// wrong bits. Every checked search therefore revalidates the source's
+/// The snapshot outlives any borrow of its source, so the source can be
+/// reprogrammed while the snapshot is held — exactly the situation where
+/// serving from the old planes would silently return wrong bits. Every checked search therefore revalidates the source's
 /// generation and fails with [`TdamError::StaleCompile`] once they
 /// diverge; the serving runtime ([`crate::runtime`]) catches that error
 /// and recompiles.
@@ -831,8 +674,10 @@ impl CompiledSnapshot {
         source.generation == self.generation
     }
 
-    /// How many rows the bit-sliced packed kernel serves (see
-    /// [`CompiledArray::packed_rows`]).
+    /// How many rows the bit-sliced packed kernel serves (the rest fall
+    /// back to the full variation-aware model): packing refuses rows
+    /// holding any non-nominal cell, and every row when the timing is
+    /// degenerate (`d_inv + d_c == d_inv`).
     pub fn packed_rows(&self) -> usize {
         self.packed.packed_rows()
     }
@@ -872,14 +717,19 @@ impl CompiledSnapshot {
     pub fn search_packed_unchecked(&self, query: &[u8]) -> Result<SearchOutcome, TdamError> {
         validate_query(&self.array, query)?;
         let mut scratch = self.packed.scratch();
-        packed_search_prevalidated(&self.array, &self.packed, query, &mut scratch)
+        self.packed.expand_query(query, &mut scratch);
+        self.packed.mismatch_counts(&mut scratch);
+        finish_search_from_counts(&self.array, &self.packed, &scratch, 0, query)
     }
 
     /// Answers a whole batch through the packed kernel, verifying
     /// freshness against `source` once up front, then fanning queries out
-    /// across `threads` workers with one reused query-plane scratch per
+    /// across `threads` worker threads (`None` = all cores; see
+    /// [`crate::parallel`]) with one reused query-plane scratch per
     /// worker and batch-level validation (no per-query allocation or
-    /// re-validation in the hot loop).
+    /// re-validation in the hot loop). Results are in batch order and
+    /// bit-identical for every thread count; versus the behavioral model
+    /// they carry the packed equivalence contract ([`crate::packed`]).
     ///
     /// # Errors
     ///
@@ -902,8 +752,13 @@ impl CompiledSnapshot {
     }
 
     /// Answers a whole batch decision-only against the snapshot's frozen
-    /// state after a freshness check (see
-    /// [`CompiledArray::decide_batch`]).
+    /// state after a freshness check: per-query winner and decoded
+    /// distances ([`crate::packed::PackedDecision`]), skipping the
+    /// per-row analog reconstruction entirely. This is the kernel at full
+    /// speed — the output is what the hardware TDC exports — and its
+    /// fields are exactly identical to [`SearchOutcome::best_row`] /
+    /// [`SearchOutcome::decoded`] from [`CompiledSnapshot::search_batch`]
+    /// on the same batch.
     ///
     /// # Errors
     ///
@@ -963,7 +818,10 @@ impl CompiledSnapshot {
     }
 
     /// Forces a dispatch-ladder rung for this snapshot's packed kernel
-    /// (see [`CompiledArray::force_kernel`]).
+    /// ([`crate::packed::PackedKernel`]); tests and benchmarks use this
+    /// to pin a rung, production code leaves detection alone. Returns
+    /// `false` (keeping the current rung) when the requested rung is not
+    /// available in this build/CPU.
     pub fn force_kernel(&mut self, kernel: crate::packed::PackedKernel) -> bool {
         self.packed.set_kernel(kernel)
     }
@@ -1030,8 +888,8 @@ impl SimilarityEngine for TdamArray {
                 expected: self.config.stages,
             });
         }
-        let compiled = self.compile();
-        let outcomes = compiled.search_batch(batch, None)?;
+        let packed = PackedArray::build(self, &std::collections::BTreeSet::new());
+        let outcomes = packed_batch(self, &packed, batch, None, finish_search_from_counts)?;
         Ok(BatchResult {
             queries: outcomes.iter().map(SearchOutcome::metrics).collect(),
         })
@@ -1208,11 +1066,11 @@ mod tests {
             let v: Vec<u8> = (0..16).map(|i| ((i + row) % 4) as u8).collect();
             am.store(row, &v).unwrap();
         }
-        let compiled = am.compile();
+        let compiled = am.compile_snapshot();
         assert_eq!(compiled.packed_rows(), 6);
         for q in [vec![0u8; 16], (0..16).map(|i| (i % 4) as u8).collect()] {
             let reference = TdamArray::search(&am, &q).unwrap();
-            assert_same_decisions(&compiled.search_packed(&q).unwrap(), &reference);
+            assert_same_decisions(&compiled.search_packed(&am, &q).unwrap(), &reference);
         }
     }
 
@@ -1227,10 +1085,10 @@ mod tests {
             .map(|_| crate::cell::Cell::with_vth(1, am.config().encoding, 0.63, 1.02).unwrap())
             .collect();
         am.store_cells(1, cells).unwrap();
-        let compiled = am.compile();
+        let compiled = am.compile_snapshot();
         assert_eq!(compiled.packed_rows(), 2);
         let q = vec![2u8; 8];
-        let got = compiled.search_packed(&q).unwrap();
+        let got = compiled.search_packed(&am, &q).unwrap();
         let reference = TdamArray::search(&am, &q).unwrap();
         assert_same_decisions(&got, &reference);
         // The fallback row runs the behavioral model itself: bit-identical.
@@ -1273,15 +1131,15 @@ mod tests {
             let v: Vec<u8> = (0..10).map(|i| ((i * 2 + row) % 4) as u8).collect();
             am.store(row, &v).unwrap();
         }
-        let compiled = am.compile();
+        let compiled = am.compile_snapshot();
         assert_eq!(compiled.packed_rows(), 4);
         let rows: Vec<Vec<u8>> = (0..5)
             .map(|k| (0..10).map(|i| ((i + k) % 4) as u8).collect())
             .collect();
         let batch = BatchQuery::from_rows(&rows).unwrap();
-        let batched = compiled.search_batch(&batch, Some(1)).unwrap();
+        let batched = compiled.search_batch(&am, &batch, Some(1)).unwrap();
         for (i, q) in rows.iter().enumerate() {
-            assert_eq!(compiled.search_packed(q).unwrap(), batched[i]);
+            assert_eq!(compiled.search_packed(&am, q).unwrap(), batched[i]);
             assert_same_decisions(&batched[i], &TdamArray::search(&am, q).unwrap());
         }
     }
@@ -1289,13 +1147,13 @@ mod tests {
     #[test]
     fn packed_batch_rejects_invalid_elements_up_front() {
         let am = array(2, 4);
-        let compiled = am.compile();
+        let compiled = am.compile_snapshot();
         let mut batch = BatchQuery::new(4);
         batch.push(&[0, 1, 2, 3]).unwrap();
         // Push a query with an out-of-range element for the 2-bit
         // encoding: batch-level validation must reject the whole batch.
         batch.push(&[0, 9, 0, 0]).unwrap();
-        assert!(compiled.search_batch(&batch, Some(1)).is_err());
+        assert!(compiled.search_batch(&am, &batch, Some(1)).is_err());
     }
 
     #[test]
@@ -1307,10 +1165,10 @@ mod tests {
             .map(|k| (0..8).map(|i| ((i + k) % 4) as u8).collect())
             .collect();
         let batch = BatchQuery::from_rows(&rows).unwrap();
-        let compiled = am.compile();
-        let one = compiled.search_batch(&batch, Some(1)).unwrap();
+        let compiled = am.compile_snapshot();
+        let one = compiled.search_batch(&am, &batch, Some(1)).unwrap();
         for threads in [Some(2), Some(5), None] {
-            assert_eq!(compiled.search_batch(&batch, threads).unwrap(), one);
+            assert_eq!(compiled.search_batch(&am, &batch, threads).unwrap(), one);
         }
     }
 

@@ -156,7 +156,7 @@ pub mod tdc;
 pub mod throughput;
 pub mod timing;
 
-pub use array::{CompiledArray, CompiledSnapshot, SearchOutcome, TdamArray};
+pub use array::{CompiledSnapshot, SearchOutcome, TdamArray};
 pub use chain::DelayChain;
 pub use config::{ArrayConfig, TechParams};
 pub use corpus::{CorpusBuilder, CorpusConfig, CorpusEngine, CorpusTierStatus};

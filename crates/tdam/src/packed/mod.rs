@@ -60,8 +60,8 @@
 //!
 //! Batch serving additionally blocks the loop nest for cache residency
 //! (**query-major tiling**): the batch paths
-//! ([`CompiledArray::search_batch`](crate::array::CompiledArray::search_batch),
-//! [`CompiledArray::decide_batch`](crate::array::CompiledArray::decide_batch))
+//! ([`CompiledSnapshot::search_batch`](crate::array::CompiledSnapshot::search_batch),
+//! [`CompiledSnapshot::decide_batch`](crate::array::CompiledSnapshot::decide_batch))
 //! expand a tile of up to 8 queries per work item, and
 //! [`PackedArray::mismatch_counts`] walks row blocks (sized to ~16 KiB of
 //! lane words, i.e. L1-resident) in the outer loop with the tile's
@@ -73,7 +73,7 @@
 //! # Examples
 //!
 //! Counting mismatches directly through the packed view (the serving
-//! paths normally drive this via `CompiledArray`/`CompiledSnapshot`):
+//! paths normally drive this via `CompiledSnapshot`):
 //!
 //! ```
 //! use std::collections::BTreeSet;
@@ -297,7 +297,7 @@ impl PackedScratch {
 /// [`SearchOutcome`](crate::array::SearchOutcome).
 ///
 /// Produced by the decision-only batch paths
-/// ([`CompiledArray::decide_batch`](crate::array::CompiledArray::decide_batch)),
+/// ([`CompiledSnapshot::decide_batch`](crate::array::CompiledSnapshot::decide_batch)),
 /// whose fields are **exactly identical** to
 /// [`SearchOutcome::best_row`](crate::array::SearchOutcome::best_row) and
 /// [`SearchOutcome::decoded`](crate::array::SearchOutcome::decoded) on the
@@ -328,9 +328,8 @@ struct RowDigest {
 /// parity masks, and the count-indexed reconstruction tables.
 ///
 /// Built by [`PackedArray::build`] (callers usually go through
-/// [`TdamArray::compile`](crate::TdamArray::compile) /
 /// [`TdamArray::compile_snapshot`](crate::TdamArray::compile_snapshot),
-/// which carry a packed view alongside the scalar tables).
+/// whose [`CompiledSnapshot`](crate::CompiledSnapshot) holds one).
 #[derive(Debug, Clone)]
 pub struct PackedArray {
     stages: usize,

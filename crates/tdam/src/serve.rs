@@ -31,9 +31,11 @@
 //!   of degrading to a partial answer. [`cluster_layout`] permutes a
 //!   corpus cluster-contiguously so the ranges are pure.
 //! - **Chaos campaign** ([`run_serve_chaos`]): seeded closed-loop load
-//!   over the real TCP front-end with injected shard crashes, slow
-//!   shards, and overload bursts, asserting zero silent wrong answers
-//!   and explicit shed accounting (see `ext_serve_scale`).
+//!   over the real TCP front-end, with warm standbys on in-memory
+//!   checkpoint stores, injected shard crashes, slow shards, and
+//!   overload bursts, asserting zero silent wrong answers and explicit
+//!   shed accounting. Its judged client pool ([`run_phase`]) is the one
+//!   `ext_serve_scale` drives for its sweep and overload experiments.
 //!
 //! The wire protocol is hand-rolled length-prefixed TCP over
 //! `std::net` (no external dependencies): a `u32` little-endian frame
@@ -43,7 +45,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -559,22 +561,6 @@ impl ShardedService {
         corpus: &[Vec<u8>],
         standby_dir: Option<&Path>,
     ) -> Result<Self, ServeError> {
-        Self::new_with_clock(cfg, corpus, standby_dir, Clock::default())
-    }
-
-    /// [`ShardedService::new`] with every shard engine (and the service
-    /// itself) placed on an explicit clock — the deterministic
-    /// simulation's entry point.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedService::new`].
-    pub fn new_with_clock(
-        cfg: &ServeConfig,
-        corpus: &[Vec<u8>],
-        standby_dir: Option<&Path>,
-        clock: Clock,
-    ) -> Result<Self, ServeError> {
         let stores = match standby_dir {
             Some(dir) => {
                 let map = ShardMap::new(corpus.len(), cfg.rows_per_shard)?;
@@ -586,40 +572,34 @@ impl ShardedService {
             }
             None => None,
         };
-        Self::build(cfg, corpus, stores, clock)
+        Self::build(cfg, corpus, stores, Clock::default())
     }
 
-    /// Builds a fully in-memory service for the deterministic
-    /// simulation: every shard's standby checkpoint store lives on its
-    /// own [`crate::store::MemStorage`] (virtual paths, no real disk),
-    /// and every engine runs on `clock` (virtual time when a
-    /// [`crate::clock::SimClock`] handle is passed).
-    ///
-    /// Returns the service plus the per-shard storage handles so a
-    /// chaos harness can inject [`crate::store::DiskFault`]s and power
-    /// losses into individual shards' durable state.
+    /// Builds a service whose warm standbys restore from in-memory
+    /// checkpoint stores: every shard's store lives on its own
+    /// [`crate::store::MemStorage`] (virtual paths, no real disk), and
+    /// every engine runs on `clock` (virtual time when a
+    /// [`crate::clock::SimClock`] handle is passed). The deterministic
+    /// simulation and the TCP chaos campaign both build on this.
     ///
     /// # Errors
     ///
     /// As [`ShardedService::new`].
-    #[allow(clippy::type_complexity)]
-    pub fn new_sim(
+    pub fn in_memory(
         cfg: &ServeConfig,
         corpus: &[Vec<u8>],
         clock: Clock,
-    ) -> Result<(Self, Vec<crate::store::MemStorage>), ServeError> {
+    ) -> Result<Self, ServeError> {
         let map = ShardMap::new(corpus.len(), cfg.rows_per_shard)?;
-        let mut stores = Vec::with_capacity(map.shards());
-        let mut disks = Vec::with_capacity(map.shards());
-        for s in 0..map.shards() {
-            let disk = crate::store::MemStorage::new();
-            stores.push(CheckpointStore::open_with(
-                format!("/sim/shard{s}"),
-                std::sync::Arc::new(disk.clone()),
-            )?);
-            disks.push(disk);
-        }
-        Ok((Self::build(cfg, corpus, Some(stores), clock)?, disks))
+        let stores = (0..map.shards())
+            .map(|s| {
+                CheckpointStore::open_with(
+                    format!("/mem/shard{s}"),
+                    Arc::new(crate::store::MemStorage::new()),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::build(cfg, corpus, Some(stores), clock)
     }
 
     /// Shared constructor body: one engine per shard-map range, with an
@@ -2299,9 +2279,6 @@ pub struct ServeChaosConfig {
     pub deadline: Duration,
     /// Overload burst multiplier on `clients`.
     pub burst_factor: usize,
-    /// Directory for per-shard checkpoint stores backing warm standbys
-    /// (`None` disables failover: downed shards stay down).
-    pub standby_dir: Option<PathBuf>,
     /// Front-end bind address (`127.0.0.1:0` for an ephemeral port).
     pub bind_addr: String,
     /// When false, run the steady phase only — a plain load test with
@@ -2311,7 +2288,7 @@ pub struct ServeChaosConfig {
 
 impl ServeChaosConfig {
     /// A small, CI-sized campaign.
-    pub fn quick(standby_dir: Option<PathBuf>) -> Self {
+    pub fn quick() -> Self {
         let mut serve = ServeConfig::paper_default();
         serve.array.stages = 16;
         serve.rows_per_shard = 24;
@@ -2326,7 +2303,6 @@ impl ServeChaosConfig {
             requests_per_client: 12,
             deadline: Duration::from_millis(250),
             burst_factor: 4,
-            standby_dir,
             bind_addr: "127.0.0.1:0".into(),
             chaos: true,
         }
@@ -2343,6 +2319,9 @@ pub struct PhaseReport {
     pub requests: usize,
     /// Top-k replies received.
     pub answered: usize,
+    /// Replies flagged neither partial nor degraded — the ones judged
+    /// for silent wrong answers.
+    pub complete: usize,
     /// Replies flagged partial.
     pub partial: usize,
     /// Replies flagged degraded.
@@ -2365,6 +2344,13 @@ pub struct PhaseReport {
     pub p99_us: u64,
     /// Achieved request throughput (sent / wall time).
     pub qps: u64,
+}
+
+impl PhaseReport {
+    /// Explicit sheds (queue-full plus deadline) in this phase.
+    pub fn sheds(&self) -> usize {
+        self.shed_queue + self.shed_deadline
+    }
 }
 
 /// Full campaign result.
@@ -2391,10 +2377,7 @@ impl ServeChaosReport {
 
     /// Explicit sheds across every phase.
     pub fn sheds(&self) -> usize {
-        self.phases
-            .iter()
-            .map(|p| p.shed_queue + p.shed_deadline)
-            .sum()
+        self.phases.iter().map(PhaseReport::sheds).sum()
     }
 }
 
@@ -2403,6 +2386,7 @@ impl ServeChaosReport {
 #[derive(Default)]
 struct ClientTally {
     answered: usize,
+    complete: usize,
     partial: usize,
     degraded: usize,
     shed_queue: usize,
@@ -2462,6 +2446,9 @@ fn run_client(
                 if topk.degraded {
                     tally.degraded += 1;
                 }
+                if topk.complete() {
+                    tally.complete += 1;
+                }
                 // A judge that cannot compute the truth cannot vouch for
                 // the answer: count it as a mismatch.
                 let expected = brute_force_topk(corpus, encoding, &query, k).ok();
@@ -2487,12 +2474,17 @@ fn run_client(
     tally
 }
 
-/// Runs one phase of closed-loop load and folds the client tallies.
+/// Runs one phase of closed-loop load against the front-end at `addr`
+/// and folds the client tallies: `clients` threads each send
+/// `requests_per_client` seeded queries (stored rows with 0–3 elements
+/// perturbed) and judge every reply against brute force over `corpus`.
+/// A client that cannot (re)connect or panics counts its unsent
+/// requests as errors.
 #[allow(clippy::too_many_arguments)]
-fn run_phase(
+pub fn run_phase(
     name: &str,
     addr: SocketAddr,
-    corpus: &Arc<Vec<Vec<u8>>>,
+    corpus: &[Vec<u8>],
     encoding: crate::encoding::Encoding,
     seed: u64,
     k: usize,
@@ -2505,11 +2497,10 @@ fn run_phase(
     let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let corpus = Arc::clone(corpus);
                 scope.spawn(move || {
                     run_client(
                         addr,
-                        &corpus,
+                        corpus,
                         encoding,
                         seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                         k,
@@ -2540,6 +2531,7 @@ fn run_phase(
     };
     for t in tallies {
         report.answered += t.answered;
+        report.complete += t.complete;
         report.partial += t.partial;
         report.degraded += t.degraded;
         report.shed_queue += t.shed_queue;
@@ -2558,7 +2550,9 @@ fn run_phase(
 /// Runs the serve chaos campaign: seeded closed-loop load over a real
 /// TCP front-end through five phases — steady, overload burst,
 /// slow-shard (breaker + failover), shard crash (failover), recovered —
-/// judging every complete answer bit-for-bit against brute force.
+/// judging every complete answer bit-for-bit against brute force. The
+/// service keeps warm standbys on in-memory checkpoint stores
+/// ([`ShardedService::in_memory`]), so the campaign touches no disk.
 ///
 /// The campaign itself only *measures*; callers assert the invariants
 /// (`silent_wrong() == 0`, sheds explicit, failovers observed) so test
@@ -2569,16 +2563,11 @@ fn run_phase(
 /// [`ServeError`] when the service or front-end cannot be built.
 pub fn run_serve_chaos(cfg: &ServeChaosConfig) -> Result<ServeChaosReport, ServeError> {
     let levels = cfg.serve.array.encoding.levels();
-    let corpus = Arc::new(seeded_corpus(
-        cfg.rows,
-        cfg.serve.array.stages,
-        levels,
-        cfg.seed,
-    ));
-    let service = Arc::new(ShardedService::new(
+    let corpus = seeded_corpus(cfg.rows, cfg.serve.array.stages, levels, cfg.seed);
+    let service = Arc::new(ShardedService::in_memory(
         &cfg.serve,
         &corpus,
-        cfg.standby_dir.as_deref(),
+        Clock::default(),
     )?);
     let encoding = service.encoding();
     let mut front = FrontEnd::start(Arc::clone(&service), &cfg.serve, &cfg.bind_addr)?;

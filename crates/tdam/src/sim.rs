@@ -591,8 +591,7 @@ impl SimWorld {
         let clock = SimClock::new();
         let serve_cfg = cfg.serve_config();
         let corpus = derive_corpus(cfg, serve_cfg.array.encoding);
-        let (service, _shard_disks) =
-            ShardedService::new_sim(&serve_cfg, &corpus, Clock::sim(&clock))?;
+        let service = ShardedService::in_memory(&serve_cfg, &corpus, Clock::sim(&clock))?;
 
         let durable_rows = cfg.durable_rows.min(cfg.rows).max(1);
         let disk = MemStorage::new();

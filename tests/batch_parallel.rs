@@ -144,12 +144,12 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
             .iter()
             .map(|q| TdamArray::search(&am, q).expect("reference search"))
             .collect();
-        let compiled = am.compile();
+        let compiled = am.compile_snapshot();
         assert_eq!(compiled.packed_rows(), ROWS, "nominal rows must all pack");
 
         // The packed tier: exact decision vs. the behavioral reference,
         // and **bitwise** thread-count invariance against itself.
-        let packed_one = compiled.search_batch(&batch, Some(1)).expect("packed");
+        let packed_one = compiled.search_batch(&am, &batch, Some(1)).expect("packed");
         for (i, (got, want)) in packed_one.iter().zip(&reference).enumerate() {
             assert_eq!(
                 got.best_row(),
@@ -169,7 +169,7 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
         }
         // The decision-only tier: same exact decisions, bitwise
         // thread-count invariant (all-integer output).
-        let decide_one = compiled.decide_batch(&batch, Some(1)).expect("decide");
+        let decide_one = compiled.decide_batch(&am, &batch, Some(1)).expect("decide");
         for (i, (got, want)) in decide_one.iter().zip(&reference).enumerate() {
             assert_eq!(
                 got.best_row,
@@ -185,7 +185,7 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
 
         for threads in [Some(2), Some(5), None] {
             let outcomes = compiled
-                .search_batch(&batch, threads)
+                .search_batch(&am, &batch, threads)
                 .expect("compiled batch");
             for (i, (got, want)) in outcomes.iter().zip(&packed_one).enumerate() {
                 assert_eq!(
@@ -195,7 +195,7 @@ fn compiled_tdam_batches_identically_for_every_thread_count() {
                 );
             }
             assert_eq!(
-                compiled.decide_batch(&batch, threads).expect("decide"),
+                compiled.decide_batch(&am, &batch, threads).expect("decide"),
                 decide_one,
                 "decision batch not thread-count invariant \
                  (seed {seed:#x}, threads {threads:?})"

@@ -58,7 +58,7 @@ fn packed_counts_winners_and_energies_match_behavioral() {
             let seed = 0x9ACC_ED00 ^ ((bits as u64) << 32) ^ stages as u64;
             let (am, mut rng) = seeded_array(bits, stages, ROWS, seed);
             let levels = 1u32 << bits;
-            let compiled = am.compile();
+            let compiled = am.compile_snapshot();
             assert_eq!(
                 compiled.packed_rows(),
                 ROWS,
@@ -69,7 +69,7 @@ fn packed_counts_winners_and_energies_match_behavioral() {
                     .map(|_| rng.gen_range(0..levels) as u8)
                     .collect();
                 let reference = TdamArray::search(&am, &q).expect("behavioral");
-                let packed = compiled.search_packed(&q).expect("packed");
+                let packed = compiled.search_packed(&am, &q).expect("packed");
                 let ctx = format!("{bits}-bit {stages}-stage seed {seed:#x}");
 
                 // The decision layer: exactly identical.
@@ -132,27 +132,27 @@ fn packed_batch_decisions_match_behavioral_for_any_thread_count() {
         .iter()
         .map(|q| TdamArray::search(&am, q).expect("behavioral"))
         .collect();
-    let compiled = am.compile();
-    let one = compiled.search_batch(&batch, Some(1)).expect("packed");
+    let compiled = am.compile_snapshot();
+    let one = compiled.search_batch(&am, &batch, Some(1)).expect("packed");
     for (i, (got, want)) in one.iter().zip(&reference).enumerate() {
         assert_eq!(got.best_row(), want.best_row(), "query {i}: winner");
         assert_eq!(got.decoded(), want.decoded(), "query {i}: decode");
     }
     // The decision-only path carries the same exactness, and is bitwise
     // thread-count invariant (it is all-integer output).
-    let decisions = compiled.decide_batch(&batch, Some(1)).expect("decide");
+    let decisions = compiled.decide_batch(&am, &batch, Some(1)).expect("decide");
     for (i, (got, want)) in decisions.iter().zip(&reference).enumerate() {
         assert_eq!(got.best_row, want.best_row(), "decision {i}: winner");
         assert_eq!(got.distances, want.decoded(), "decision {i}: distances");
     }
     for threads in [Some(2), Some(3), Some(7), None] {
         assert_eq!(
-            compiled.search_batch(&batch, threads).expect("packed"),
+            compiled.search_batch(&am, &batch, threads).expect("packed"),
             one,
             "thread-count invariance ({threads:?})"
         );
         assert_eq!(
-            compiled.decide_batch(&batch, threads).expect("decide"),
+            compiled.decide_batch(&am, &batch, threads).expect("decide"),
             decisions,
             "decision thread-count invariance ({threads:?})"
         );
@@ -170,13 +170,13 @@ fn perturbed_rows_fall_back_inside_packed_path() {
         })
         .collect();
     am.store_cells(2, cells).expect("store_cells");
-    let compiled = am.compile();
+    let compiled = am.compile_snapshot();
     assert_eq!(compiled.packed_rows(), 4, "perturbed row must not pack");
     let mut batch = BatchQuery::new(70);
     for _ in 0..6 {
         let q: Vec<u8> = (0..70).map(|_| rng.gen_range(0..4u32) as u8).collect();
         let reference = TdamArray::search(&am, &q).expect("behavioral");
-        let packed = compiled.search_packed(&q).expect("packed");
+        let packed = compiled.search_packed(&am, &q).expect("packed");
         assert_eq!(packed.best_row(), reference.best_row());
         assert_eq!(packed.decoded(), reference.decoded());
         // The fallback row is served by the same behavioral arithmetic:
@@ -187,7 +187,7 @@ fn perturbed_rows_fall_back_inside_packed_path() {
     // The decision-only path routes the perturbed row through the same
     // behavioral fallback.
     for (decision, q) in compiled
-        .decide_batch(&batch, Some(1))
+        .decide_batch(&am, &batch, Some(1))
         .expect("decide")
         .iter()
         .zip(batch.iter())
@@ -215,13 +215,13 @@ fn dispatch_ladder_rungs_are_bit_identical_across_thread_counts() {
         let q: Vec<u8> = (0..STAGES).map(|_| rng.gen_range(0..8u32) as u8).collect();
         batch.push(&q).expect("push");
     }
-    let mut compiled = am.compile();
+    let mut compiled = am.compile_snapshot();
     assert!(
         compiled.force_kernel(PackedKernel::Scalar),
         "the scalar rung is always available"
     );
-    let outcomes = compiled.search_batch(&batch, Some(1)).expect("search");
-    let decisions = compiled.decide_batch(&batch, Some(1)).expect("decide");
+    let outcomes = compiled.search_batch(&am, &batch, Some(1)).expect("search");
+    let decisions = compiled.decide_batch(&am, &batch, Some(1)).expect("decide");
     for (i, (got, q)) in outcomes.iter().zip(batch.iter()).enumerate() {
         let want = TdamArray::search(&am, q).expect("behavioral");
         assert_eq!(got.best_row(), want.best_row(), "scalar query {i}: winner");
@@ -236,12 +236,12 @@ fn dispatch_ladder_rungs_are_bit_identical_across_thread_counts() {
         }
         for threads in [Some(1), Some(3), None] {
             assert_eq!(
-                compiled.search_batch(&batch, threads).expect("search"),
+                compiled.search_batch(&am, &batch, threads).expect("search"),
                 outcomes,
                 "{rung:?} ({threads:?}): outcomes must be bit-identical to scalar"
             );
             assert_eq!(
-                compiled.decide_batch(&batch, threads).expect("decide"),
+                compiled.decide_batch(&am, &batch, threads).expect("decide"),
                 decisions,
                 "{rung:?} ({threads:?}): decisions must be bit-identical to scalar"
             );
@@ -410,7 +410,7 @@ fn masked_columns_serve_packed_with_identical_corrected_decode() {
 
     // Unmasked packing refuses the faulted rows; the masked view packs
     // every row again.
-    let unmasked = ra.array().compile().packed_rows();
+    let unmasked = ra.array().compile_snapshot().packed_rows();
     assert_eq!(unmasked, 0, "stuck column poisons every physical row");
     let packed = ra.packed_view();
     let mut scratch = packed.scratch();

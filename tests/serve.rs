@@ -397,8 +397,7 @@ fn overload_sheds_explicitly_with_queue_full_or_deadline() {
 
 #[test]
 fn serve_chaos_campaign_has_zero_silent_wrong_answers() {
-    let dir = scratch_dir("chaos");
-    let cfg = ServeChaosConfig::quick(Some(dir.clone()));
+    let cfg = ServeChaosConfig::quick();
     let report = run_serve_chaos(&cfg).expect("campaign");
     assert_eq!(report.phases.len(), 5);
     for phase in &report.phases {
@@ -406,6 +405,11 @@ fn serve_chaos_campaign_has_zero_silent_wrong_answers() {
             phase.answered + phase.shed_queue + phase.shed_deadline + phase.errors,
             phase.requests,
             "every request is answered, shed, or an error: {phase:?}"
+        );
+        assert!(phase.complete <= phase.answered, "{phase:?}");
+        assert!(
+            phase.answered - phase.complete <= phase.partial + phase.degraded,
+            "every answer not complete is flagged partial or degraded: {phase:?}"
         );
     }
     assert_eq!(
@@ -424,11 +428,11 @@ fn serve_chaos_campaign_has_zero_silent_wrong_answers() {
         steady.answered, steady.requests,
         "steady phase all answered"
     );
+    assert_eq!(steady.complete, steady.answered, "steady answers complete");
     assert_eq!(steady.silent_wrong + steady.flagged_mismatch, 0);
     let recovered = report.phases.last().expect("phases");
     assert!(
         recovered.answered >= recovered.requests * 9 / 10,
         "post-recovery service must be healthy: {recovered:?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
