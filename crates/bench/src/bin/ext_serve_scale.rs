@@ -11,7 +11,8 @@
 //! 1. **Client sweep** — closed-loop clients at increasing concurrency
 //!    against a healthy sharded service. The sweep reports the
 //!    qps / p50 / p99 degradation curve with an accepted-correct gate
-//!    (no silent wrong answer, no transport error).
+//!    (no silent wrong answer, no transport error) and an absolute
+//!    latency gate: every sweep row's p50 within `SWEEP_P50_BOUND_US`.
 //! 2. **Overload** — a deliberately starved deployment (one worker,
 //!    one queue slot, an injected-slow shard) driven past capacity.
 //!    The contract under overload is *explicit* shedding: clients see
@@ -37,6 +38,13 @@ use tdam::serve::{
     ShardedService,
 };
 use tdam_bench::{quick_mode, rline, JsonMap, Report};
+
+/// Absolute bound on each client-sweep row's p50 round trip. Quick-mode
+/// sweeps on a 2-vCPU host measured a worst row p50 of 192–416 us over
+/// nine runs; the bound leaves about 12x headroom for slower CI hosts,
+/// and a header-then-payload two-write framing (about 88 ms per round
+/// trip behind Nagle's algorithm and delayed ACK) fails it 17x over.
+const SWEEP_P50_BOUND_US: u64 = 5_000;
 
 fn main() {
     let quick = quick_mode();
@@ -87,11 +95,13 @@ fn main() {
     );
     let mut sweep_rows = Vec::new();
     let mut sweep_correct = true;
+    let mut sweep_p50_max = 0;
     for &clients in sweep {
         let d = run_phase(
             "sweep", addr, &corpus, encoding, seed, k, clients, requests, deadline,
         );
         sweep_correct &= d.silent_wrong == 0 && d.errors == 0;
+        sweep_p50_max = sweep_p50_max.max(d.p50_us);
         let correct_complete = d.complete - d.silent_wrong;
         rline!(
             rpt,
@@ -124,9 +134,19 @@ fn main() {
         "accepted-correct gate (no silent wrong answer, no error): {}",
         if sweep_correct { "PASS" } else { "FAIL" }
     );
+    let sweep_p50_bounded = sweep_p50_max <= SWEEP_P50_BOUND_US;
+    rline!(
+        rpt,
+        "absolute latency gate (every sweep p50 <= {SWEEP_P50_BOUND_US} us; worst {sweep_p50_max} us): {}",
+        if sweep_p50_bounded { "PASS" } else { "FAIL" }
+    );
     assert!(
         sweep_correct,
         "sweep returned a silent wrong answer or a transport error"
+    );
+    assert!(
+        sweep_p50_bounded,
+        "sweep p50 {sweep_p50_max} us exceeds the {SWEEP_P50_BOUND_US} us bound"
     );
 
     // ------------------------------------------------------------------
@@ -314,6 +334,8 @@ fn main() {
         )
         .arr("sweep", sweep_rows)
         .bool("accepted_correct", sweep_correct)
+        .int("sweep_p50_bound_us", SWEEP_P50_BOUND_US as i64)
+        .bool("sweep_p50_bounded", sweep_p50_bounded)
         .obj("overload", overload_json)
         .obj(
             "failover",

@@ -37,10 +37,16 @@ pub enum ConductingFefet {
 /// levels sit half a step below the matching thresholds so a matching cell
 /// has negative overdrive on both devices and any mismatch has at least
 /// half a step of positive overdrive on exactly one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Both ladders are arithmetic, so a ladder is three scalars, not two
+/// tables: `vth(i) = lo + step·i` and `vsl(i) = vth(i) − step/2`. Every
+/// [`Cell`] carries one, so keeping it `Copy` keeps cells (and every
+/// array and compiled snapshot that clones them) free of heap storage.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VoltageLadder {
-    vth: Vec<f64>,
-    vsl: Vec<f64>,
+    lo: f64,
+    step: f64,
+    levels: u8,
 }
 
 impl VoltageLadder {
@@ -50,19 +56,17 @@ impl VoltageLadder {
     /// `V_TH0..V_TH3` = 0.2/0.6/1.0/1.4 V and `V_SL0..V_SL3` =
     /// 0/0.4/0.8/1.2 V.
     pub fn for_encoding(encoding: Encoding) -> Self {
-        let levels = encoding.levels() as usize;
+        let levels = encoding.levels();
         let (lo, hi) = (
             tdam_fefet::PAPER_VTH[0],
             tdam_fefet::PAPER_VTH[tdam_fefet::PAPER_STATES - 1],
         );
         let step = if levels > 1 {
-            (hi - lo) / (levels - 1) as f64
+            (hi - lo) / f64::from(levels - 1)
         } else {
             hi - lo
         };
-        let vth: Vec<f64> = (0..levels).map(|i| lo + step * i as f64).collect();
-        let vsl: Vec<f64> = vth.iter().map(|v| v - step / 2.0).collect();
-        Self { vth, vsl }
+        Self { lo, step, levels }
     }
 
     /// Threshold voltage programmed for level `i`.
@@ -71,7 +75,12 @@ impl VoltageLadder {
     ///
     /// Panics if `i` exceeds the ladder.
     pub fn vth(&self, i: u8) -> f64 {
-        self.vth[i as usize]
+        assert!(
+            i < self.levels,
+            "level {i} outside a {}-level ladder",
+            self.levels
+        );
+        self.lo + self.step * f64::from(i)
     }
 
     /// Search-line voltage applied for level `i`.
@@ -80,18 +89,19 @@ impl VoltageLadder {
     ///
     /// Panics if `i` exceeds the ladder.
     pub fn vsl(&self, i: u8) -> f64 {
-        self.vsl[i as usize]
+        self.vth(i) - self.step / 2.0
     }
 
     /// Number of levels.
     pub fn levels(&self) -> u8 {
-        self.vth.len() as u8
+        self.levels
     }
 
-    /// The step between adjacent ladder levels, volts.
+    /// The step between adjacent ladder levels, volts (0 for a
+    /// one-level ladder).
     pub fn step(&self) -> f64 {
-        if self.vth.len() > 1 {
-            self.vth[1] - self.vth[0]
+        if self.levels > 1 {
+            self.vth(1) - self.vth(0)
         } else {
             0.0
         }
@@ -199,8 +209,8 @@ impl Cell {
     }
 
     /// The nominal voltage ladder in use.
-    pub fn ladder(&self) -> &VoltageLadder {
-        &self.ladder
+    pub fn ladder(&self) -> VoltageLadder {
+        self.ladder
     }
 
     /// The actual `(F_A, F_B)` threshold voltages.
@@ -366,6 +376,46 @@ mod tests {
             assert!((ladder.vth(0) - 0.2).abs() < 1e-12);
             assert!((ladder.vth(enc.levels() - 1) - 1.4).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn ladder_is_bit_identical_to_the_tabulated_ladder() {
+        // The ladder was once two Vec tables filled with these exact
+        // expressions; the closed form must reproduce them bit for bit.
+        for bits in 1..=4u8 {
+            let enc = Encoding::new(bits).unwrap();
+            let levels = enc.levels() as usize;
+            let (lo, hi) = (0.2, 1.4);
+            let step = (hi - lo) / (levels - 1) as f64;
+            let vth: Vec<f64> = (0..levels).map(|i| lo + step * i as f64).collect();
+            let vsl: Vec<f64> = vth.iter().map(|v| v - step / 2.0).collect();
+            let ladder = VoltageLadder::for_encoding(enc);
+            for i in 0..levels {
+                assert_eq!(
+                    ladder.vth(i as u8).to_bits(),
+                    vth[i].to_bits(),
+                    "vth {bits}b/{i}"
+                );
+                assert_eq!(
+                    ladder.vsl(i as u8).to_bits(),
+                    vsl[i].to_bits(),
+                    "vsl {bits}b/{i}"
+                );
+            }
+            assert_eq!(
+                ladder.step().to_bits(),
+                (vth[1] - vth[0]).to_bits(),
+                "step {bits}b"
+            );
+        }
+        // No heap behind a cell: arrays and snapshots clone cells by copy.
+        assert!(!std::mem::needs_drop::<Cell>());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 4-level ladder")]
+    fn ladder_rejects_levels_past_its_top() {
+        let _ = VoltageLadder::for_encoding(enc2()).vth(4);
     }
 
     #[test]

@@ -1624,13 +1624,20 @@ impl Reply {
 /// Writes one length-prefixed frame to any byte sink (a `TcpStream` in
 /// production, a `Vec<u8>` in the deterministic simulation).
 ///
+/// Header and payload go out in a single `write_all`: two small writes
+/// on a socket let Nagle's algorithm hold the payload until the peer's
+/// delayed ACK for the header, which stalls every round trip by tens of
+/// milliseconds.
+///
 /// # Errors
 ///
 /// [`ServeError::Io`] when the sink rejects the write.
 pub fn write_frame(sink: &mut impl IoWrite, payload: &[u8]) -> Result<(), ServeError> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    sink.write_all(&(payload.len() as u32).to_le_bytes())?;
-    sink.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    sink.write_all(&frame)?;
     Ok(())
 }
 
@@ -1761,11 +1768,24 @@ impl TcpTransport {
     /// [`ServeError::Io`] when connecting or configuring fails.
     pub fn connect(addr: SocketAddr, io_timeout: Duration) -> Result<Self, ServeError> {
         let stream = TcpStream::connect(addr)?; // [real-net ok] TCP transport island
-        let t = Some(io_timeout).filter(|t| !t.is_zero());
-        stream.set_read_timeout(t)?; // [real-net ok] TCP transport island
-        stream.set_write_timeout(t)?; // [real-net ok] TCP transport island
+        configure_socket(&stream, io_timeout, io_timeout)?;
         Ok(Self { stream })
     }
+}
+
+/// The one socket setup both ends of a connection share: `TCP_NODELAY`
+/// (every frame is one write, so there is nothing for Nagle's algorithm
+/// to coalesce, only replies to delay) plus the read and write
+/// timeouts, where a zero duration means no timeout.
+fn configure_socket(
+    stream: &TcpStream,
+    read_timeout: Duration,
+    write_timeout: Duration,
+) -> std::io::Result<()> {
+    let nonzero = |t: Duration| Some(t).filter(|t| !t.is_zero());
+    stream.set_nodelay(true)?; // [real-net ok] TCP socket setup island
+    stream.set_read_timeout(nonzero(read_timeout))?; // [real-net ok] TCP socket setup island
+    stream.set_write_timeout(nonzero(write_timeout)) // [real-net ok] TCP socket setup island
 }
 
 impl Transport for TcpTransport {
@@ -2014,10 +2034,8 @@ fn serve_connection(
     io_timeout: Duration,
 ) {
     let clock = service.clock().clone();
-    if stream
-        .set_write_timeout(Some(io_timeout).filter(|t| !t.is_zero())) // [real-net ok] TCP front-end island
-        .is_err()
-    {
+    // The short read timeout is the shutdown poll of `read_frame_polling`.
+    if configure_socket(&stream, Duration::from_millis(50), io_timeout).is_err() {
         return;
     }
     let Ok(writer) = stream.try_clone() else {
@@ -2025,12 +2043,6 @@ fn serve_connection(
     };
     let writer = Arc::new(Mutex::new(writer));
     let mut reader = stream;
-    if reader
-        .set_read_timeout(Some(Duration::from_millis(50))) // [real-net ok] TCP front-end island
-        .is_err()
-    {
-        return;
-    }
     loop {
         let frame = match read_frame_polling(&mut reader, running, &clock, io_timeout) {
             Ok(Some(f)) => f,
@@ -2864,6 +2876,83 @@ mod tests {
             Reply::decode(&unknown),
             Err(ServeError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        // Two writes per frame (header, then payload) let Nagle's
+        // algorithm and the peer's delayed ACK stall each round trip.
+        #[derive(Default)]
+        struct CountingSink {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl IoWrite for CountingSink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for len in [0, 1, 37, 4096] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut sink = CountingSink::default();
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(
+                sink.writes, 1,
+                "{len}-byte payload took {} writes",
+                sink.writes
+            );
+            let got = read_frame(&mut sink.bytes.as_slice()).unwrap();
+            assert_eq!(got, Some(payload));
+        }
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        // The client is `TcpTransport::connect`; the server end runs the
+        // front-end's per-connection loop on an accepted socket, keeping
+        // a handle to the same socket to inspect after one round trip.
+        let cfg = ServeConfig {
+            rows_per_shard: 4,
+            ..ServeConfig::paper_default()
+        };
+        let corpus = seeded_corpus(8, cfg.array.stages, 4, 3);
+        let service = ShardedService::in_memory(&cfg, &corpus, Clock::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client =
+            TcpTransport::connect(listener.local_addr().unwrap(), CLIENT_IO_TIMEOUT).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let server_end = accepted.try_clone().unwrap();
+        let (running, queue, counters) = (
+            AtomicBool::new(true),
+            JobQueue::new(1),
+            FrontCounters::default(),
+        );
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                serve_connection(
+                    accepted,
+                    &running,
+                    &queue,
+                    &service,
+                    &counters,
+                    cfg.default_deadline,
+                    cfg.io_timeout,
+                );
+            });
+            // Owned by this closure, so the client drops (and the
+            // connection loop ends on EOF) however the closure exits.
+            let mut client = client;
+            client.send(&Request::Info.encode()).unwrap();
+            let reply = Reply::decode(&client.recv().unwrap().unwrap()).unwrap();
+            assert!(matches!(reply, Reply::Info(InfoReply { rows: 8, .. })));
+            assert!(client.stream.nodelay().unwrap(), "client end");
+            assert!(server_end.nodelay().unwrap(), "server end");
+        });
     }
 
     #[test]
